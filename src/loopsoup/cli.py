@@ -194,8 +194,6 @@ def build_parser():
             p.add_argument("graph", help="graph JSON document path")
         p.add_argument("--json", action="store_true", help="machine readable output")
         p.add_argument("-o", "--output", default=None)
-        p.add_argument("--threads", type=int, default=1,
-                       help="Monte Carlo shard count (results independent of it)")
 
     p = sub.add_parser("green")
     common(p)

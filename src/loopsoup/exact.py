@@ -64,7 +64,8 @@ class TransferMatrix:
 
 def _logdet_posdef(A):
     sign, logdet = np.linalg.slogdet(A)
-    if sign <= 0:
+    # written so that a NaN sign or log-det fails the test
+    if not (sign > 0 and np.isfinite(logdet)):
         raise GraphError("matrix is numerically singular or not positive definite")
     return logdet
 

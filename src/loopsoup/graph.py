@@ -48,6 +48,14 @@ class EnergyForm:
                 raise GraphError("conductance matrix shape mismatch")
             if self.kappa.shape != (n,):
                 raise GraphError("killing vector shape mismatch")
+            if not np.all(np.isfinite(self.kappa)):
+                bad = self.vertices[int(np.argmin(np.isfinite(self.kappa)))]
+                raise GraphError(f"non-finite killing at vertex {bad!r}")
+            if not np.all(np.isfinite(self.C)):
+                i, j = np.unravel_index(int(np.argmin(np.isfinite(self.C))), self.C.shape)
+                raise GraphError(
+                    f"non-finite conductance on edge ({self.vertices[i]!r}, {self.vertices[j]!r})"
+                )
             if np.any(self.kappa < 0):
                 bad = self.vertices[int(np.argmin(self.kappa))]
                 raise GraphError(f"negative killing at vertex {bad!r}")
@@ -71,6 +79,9 @@ class EnergyForm:
         if validate and np.any(self.lam <= 0):
             bad = self.vertices[int(np.argmin(self.lam))]
             raise GraphError(f"lambda is not positive at vertex {bad!r} (isolated, unkilled)")
+        if validate and not np.all(np.isfinite(self.lam)):
+            bad = self.vertices[int(np.argmin(np.isfinite(self.lam)))]
+            raise GraphError(f"lambda overflows at vertex {bad!r}")
         if validate and require_connected and not _connected(self.C):
             raise GraphError("conductance graph is disconnected")
         self.P = self.C / self.lam[:, None]

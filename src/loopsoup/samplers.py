@@ -3,6 +3,14 @@ bridges, Gaussian free fields and Wilson's algorithm.
 
 All samplers consume a counter-based RngStream (or any numpy Generator)
 and are bit-reproducible for a fixed (seed, stream, call sequence).
+
+Every step of a chain (loop, bridge or walk) is an inverse-CDF lookup: one
+gen.random() and a binary search in a cumulative table.  The tables are
+normalised as Generator.choice normalises its own, so a step consumes the
+same draw and returns the same index as gen.choice(n, p=row), draw for
+draw.  Tables are built once per sampler, bridge row or Wilson call; only
+the pointed-loop step conditioned on the loop's base point and length is
+built at each step.
 """
 
 from dataclasses import dataclass, field
@@ -101,6 +109,47 @@ class FieldSample:
         return self.phi[self.vertices.index(x)]
 
 
+def _cdf(p):
+    """Cumulative table of the probability vector p, normalised exactly as
+    Generator.choice normalises its own."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(gen, cdf):
+    """Index drawn from a _cdf table with one gen.random(): the same draw
+    and index as gen.choice(len(cdf), p=p)."""
+    return int(cdf.searchsorted(gen.random(), side="right"))
+
+
+def _sparse_cdfs(M):
+    """Nonzero entries of each row of the row-stochastic M as padded rows
+    (cdf, column): row u draws column[u][_draw(gen, cdf[u])].
+
+    Adding 0.0 is exact, so each row's cumulative sums equal those of the
+    dense row at its nonzero entries, and the draw matches
+    gen.choice(len(M[u]), p=M[u]).  Padding repeats the row total 1.0,
+    which no draw in [0, 1) passes.
+    """
+    rows, cols = np.nonzero(M)
+    deg = np.bincount(rows, minlength=M.shape[0])
+    slot = np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg)
+    weights = np.zeros((M.shape[0], deg.max()))
+    weights[rows, slot] = M[rows, cols]
+    column = np.zeros(weights.shape, dtype=int)
+    column[rows, slot] = cols
+    cdf = np.cumsum(weights, axis=1)
+    cdf /= cdf[:, -1:]
+    return cdf, column.tolist()
+
+
+def _step_table(e):
+    """Jump law of the chain as _sparse_cdfs rows of [P | kappa/lambda]:
+    column n is the cemetery."""
+    return _sparse_cdfs(np.hstack([e.P, (e.kappa / e.lam)[:, None]]))
+
+
 class PointedLoopSampler:
     """Exact sampler for the normalized nontrivial loop measure.
 
@@ -131,17 +180,22 @@ class PointedLoopSampler:
         for k in range(2, k_cap + 1):
             probs[k] = np.trace(self.powers[k]) / k
         self.length_probs = probs / probs.sum()
+        self._length_cdf = _cdf(self.length_probs)
+        # base point given the length k: proportional to the diagonal of P^k
+        self._base_cdfs = []
+        for Pk in self.powers:
+            diag = np.diag(Pk).copy()
+            self._base_cdfs.append(_cdf(diag / diag.sum()) if diag.sum() > 0 else None)
 
     def sample(self, rng):
         gen = as_generator(rng)
-        k = int(gen.choice(self.k_cap + 1, p=self.length_probs))
-        diag = np.diag(self.powers[k]).copy()
-        base = int(gen.choice(self.e.n, p=diag / diag.sum()))
+        k = _draw(gen, self._length_cdf)
+        base = _draw(gen, self._base_cdfs[k])
         seq = [base]
         for i in range(1, k):
             u = seq[-1]
             w = self.e.P[u, :] * self.powers[k - i][:, base]
-            seq.append(int(gen.choice(self.e.n, p=w / w.sum())))
+            seq.append(_draw(gen, _cdf(w / w.sum())))
         taus = gen.standard_exponential(k) / self.e.lam[seq]
         return PointedLoop(
             tuple(self.e.vertices[i] for i in seq), tuple(float(t) for t in taus)
@@ -226,13 +280,16 @@ def sample_bridge(e, x, y, rng, max_steps=10**7):
     V = np.linalg.inv(np.eye(e.n) - e.P)
     if V[i, j] <= 0:
         raise GraphError(f"{y!r} unreachable from {x!r}")
+    cdfs = {}  # row u of the h-transformed step law, built on first visit
     seq = [i]
     for _ in range(max_steps):
         u = seq[-1]
         if u == j and gen.random() < 1.0 / V[u, j]:
             break
-        w = e.P[u, :] * V[:, j]
-        seq.append(int(gen.choice(e.n, p=w / w.sum())))
+        if u not in cdfs:
+            w = e.P[u, :] * V[:, j]
+            cdfs[u] = _cdf(w / w.sum())
+        seq.append(_draw(gen, cdfs[u]))
     else:
         raise GraphError("bridge failed to terminate")
     taus = gen.standard_exponential(len(seq)) / e.lam[seq]
@@ -291,14 +348,11 @@ def wilson_sample(e, rng, vertex_order=None, root=None):
     """
     gen = as_generator(rng)
     n = e.n
-    if e.transient:
-        if root is not None:
-            raise GraphError("root only applies to recurrent chains")
-        step_probs = np.hstack([e.P, (e.kappa / e.lam)[:, None]])  # column n = cemetery
-    else:
-        if root is None:
-            raise GraphError("recurrent chain needs an explicit root")
-        step_probs = np.hstack([e.P, np.zeros((n, 1))])
+    if e.transient and root is not None:
+        raise GraphError("root only applies to recurrent chains")
+    if not e.transient and root is None:
+        raise GraphError("recurrent chain needs an explicit root")
+    cdf, column = _step_table(e)
     in_tree = np.zeros(n, dtype=bool)
     parent = {}
     trivial = np.zeros(n)
@@ -315,7 +369,7 @@ def wilson_sample(e, rng, vertex_order=None, root=None):
         terminal = None
         while True:
             u = stack[-1][0]
-            nxt = int(gen.choice(n + 1, p=step_probs[u]))
+            nxt = column[u][_draw(gen, cdf[u])]
             if nxt == n or in_tree[nxt]:
                 terminal = None if nxt == n else nxt
                 break

@@ -26,7 +26,14 @@ from .loops import (
     spectral_radius,
 )
 from .rng import as_generator
-from .samplers import PointedLoopSampler, loop_erase, sample_bridge, wilson_sample
+from .samplers import (
+    PointedLoopSampler,
+    _draw,
+    _step_table,
+    loop_erase,
+    sample_bridge,
+    wilson_sample,
+)
 from .zeta import line_graph_operator, non_backtracking_counts, zeta_ihara
 
 __all__ = [
@@ -536,11 +543,13 @@ def verify_transfer_current(e, edge_sets=None, n_samples=0, rng=0, root=None,
     return report.finalize(t0)
 
 
-def _walk_to_absorption(e, start, gen, max_steps=10**7):
-    probs = np.hstack([e.P, (e.kappa / e.lam)[:, None]])
+def _walk_to_absorption(e, table, start, gen, max_steps=10**7):
+    """Walk from start until killed; table is _step_table(e)."""
+    cdf, column = table
     path = [e.index[start]]
     for _ in range(max_steps):
-        nxt = int(gen.choice(e.n + 1, p=probs[path[-1]]))
+        u = path[-1]
+        nxt = column[u][_draw(gen, cdf[u])]
         if nxt == e.n:
             return [e.vertices[i] for i in path]
         path.append(nxt)
@@ -566,7 +575,7 @@ def verify_loop_erasure(e, x, y, n_samples=0, rng=0, fixture="?"):
             counts[key] = counts.get(key, 0) + 1
         tv = 0.5 * sum(
             abs(counts.get(path, 0) / n_samples - mass / total)
-            for path in set(law) | set(counts)
+            for path in sorted(set(law) | set(counts))
             for mass in [law.get(path, 0.0)]
         )
         report.add_bool(
@@ -574,8 +583,9 @@ def verify_loop_erasure(e, x, y, n_samples=0, rng=0, fixture="?"):
             residual=tv, tol=0.01,
         )
         hits = 0
+        table = _step_table(e)
         for _ in range(n_samples):
-            walk = _walk_to_absorption(e, x, gen)
+            walk = _walk_to_absorption(e, table, x, gen)
             if loop_erase(walk) == [x]:
                 hits += 1
         freq = hits / n_samples

@@ -112,6 +112,22 @@ def test_bad_graph_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"vertices": ["x", "y"], "edges": [["x", "y", 1]], "killing": {"x": NaN}}',
+        '{"vertices": ["x", "y"], "edges": [["x", "y", Infinity]], "killing": {"x": 1}}',
+    ],
+)
+def test_non_finite_graph_exit_two(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, "green", str(path), "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: non-finite") and "Traceback" not in err
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense-command"])

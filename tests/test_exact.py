@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import loopsoup as ls
-from loopsoup.exact import hitting_kernel
+from loopsoup.exact import _logdet_posdef, hitting_kernel
 from loopsoup.graph import GraphError
 
 from conftest import random_energy_form
@@ -139,3 +139,14 @@ def test_partition_ratio_killing_increase(p2):
 def test_green_requires_transient(k4_rooted):
     with pytest.raises(GraphError):
         ls.green(k4_rooted)
+
+
+def test_logdet_rejects_nan():
+    with pytest.raises(GraphError):
+        _logdet_posdef(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def test_green_of_unvalidated_nan_form_raises():
+    e = ls.EnergyForm(["x", "y"], [[0, 1], [1, 0]], [float("nan"), 1.0], validate=False)
+    with pytest.raises(GraphError):
+        ls.green(e)

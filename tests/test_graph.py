@@ -55,6 +55,25 @@ def test_negative_conductance_rejected():
         ls.load_energy_form(doc)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_conductance_rejected(bad):
+    doc = ls.fixture("p2")
+    doc["edges"][0][2] = bad
+    with pytest.raises(GraphError, match="non-finite conductance"):
+        ls.load_energy_form(doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_killing_rejected(bad):
+    with pytest.raises(GraphError, match="non-finite killing"):
+        ls.EnergyForm(["x", "y"], [[0, 1], [1, 0]], [1.0, bad])
+
+
+def test_lambda_overflow_rejected():
+    with pytest.raises(GraphError, match="lambda overflows"):
+        ls.EnergyForm(["x", "y"], [[0, 1e308], [1e308, 0]], [1e308, 1.0])
+
+
 def test_disconnected_rejected():
     doc = {"vertices": ["a", "b", "c"], "edges": [["a", "b", 1]], "killing": {"c": 1}}
     with pytest.raises(GraphError):

@@ -1,5 +1,6 @@
 """Property-based tests over randomized energy forms."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import loopsoup as ls
 from loopsoup.graph import GraphError
+from loopsoup.samplers import _cdf, _draw, _sparse_cdfs
 
 from conftest import random_energy_form
 
@@ -146,3 +148,37 @@ def test_transfer_current_symmetry(e):
         return
     K = ls.transfer_matrix(e, edges).K
     assert np.allclose(K, K.T, atol=1e-9)
+
+
+def _state(gen):
+    return json.dumps(gen.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+@st.composite
+def _probability_rows(draw):
+    """1-4 probability vectors of one length n >= 1, with zeros that may
+    lead, sit inside or trail."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        w = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e3)), min_size=n, max_size=n))
+        lead = draw(st.integers(min_value=0, max_value=n - 1))
+        w = [0.0] * lead + w[lead:]
+        if not any(w):
+            w[-1] = 1.0
+        rows.append(np.array(w) / sum(w))
+    return np.array(rows)
+
+
+@given(_probability_rows(), st.integers(min_value=0, max_value=2**32))
+@settings(deadline=None, max_examples=200)
+def test_table_draws_match_generator_choice(M, seed):
+    ref, dense, sparse = (ls.RngStream(seed).generator for _ in range(3))
+    cdf, column = _sparse_cdfs(M)
+    for _ in range(10):
+        for u, p in enumerate(M):
+            expected = ref.choice(len(p), p=p)
+            assert _draw(dense, _cdf(p)) == expected
+            assert column[u][_draw(sparse, cdf[u])] == expected
+    assert _state(dense) == _state(ref)
+    assert _state(sparse) == _state(ref)

@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 import loopsoup as ls
 from loopsoup.graph import GraphError
-from loopsoup.samplers import _sample_trivial_points, wick_power
+from loopsoup.samplers import _cdf, _draw, _sample_trivial_points, wick_power
 
 
 def test_rng_stream_reproducible():
@@ -13,6 +15,15 @@ def test_rng_stream_reproducible():
     assert np.array_equal(a, b)
     c = ls.RngStream(123, stream=1).generator.random(5)
     assert not np.array_equal(a, c)
+
+
+def test_draw_never_picks_a_zero_probability_entry():
+    # a uniform equal to a table entry (0.0 included) falls past it, as in
+    # Generator.choice, so entries of zero mass are never drawn
+    p = np.array([0.0, 0.25, 0.0, 0.75, 0.0])
+    cdf = _cdf(p)
+    for u in cdf[cdf < 1]:
+        assert p[_draw(SimpleNamespace(random=lambda: u), cdf)] > 0
 
 
 def test_loop_sampler_deterministic(p2):
