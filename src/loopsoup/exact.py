@@ -63,7 +63,8 @@ class TransferMatrix:
 
 
 def _logdet_posdef(A):
-    sign, logdet = np.linalg.slogdet(A)
+    with np.errstate(invalid="ignore"):
+        sign, logdet = np.linalg.slogdet(A)
     # written so that a NaN sign or log-det fails the test
     if not (sign > 0 and np.isfinite(logdet)):
         raise GraphError("matrix is numerically singular or not positive definite")

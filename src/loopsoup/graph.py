@@ -75,7 +75,8 @@ class EnergyForm:
                 raise GraphError(f"self-loop conductance at vertex {bad!r}")
         self.C.setflags(write=False)
         self.kappa.setflags(write=False)
-        self.lam = self.kappa + self.C.sum(axis=1)
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            self.lam = self.kappa + self.C.sum(axis=1)
         if validate and np.any(self.lam <= 0):
             bad = self.vertices[int(np.argmin(self.lam))]
             raise GraphError(f"lambda is not positive at vertex {bad!r} (isolated, unkilled)")

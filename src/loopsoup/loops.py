@@ -65,21 +65,6 @@ class DiscreteLoop:
         _, r = _canonical_rotation(self.vertices)
         return self.p // r
 
-    def visit_counts(self):
-        counts = {}
-        for v in self.vertices:
-            counts[v] = counts.get(v, 0) + 1
-        return counts
-
-    def traversal_counts(self):
-        """Oriented edge traversal counts N_{x,y}."""
-        counts = {}
-        p = self.p
-        for i in range(p):
-            edge = (self.vertices[i], self.vertices[(i + 1) % p])
-            counts[edge] = counts.get(edge, 0) + 1
-        return counts
-
 
 @dataclass(frozen=True)
 class PointedLoop:
@@ -91,15 +76,6 @@ class PointedLoop:
     @property
     def p(self):
         return len(self.vertices)
-
-    def occupation(self):
-        occ = {}
-        for v, t in zip(self.vertices, self.taus):
-            occ[v] = occ.get(v, 0.0) + t
-        return occ
-
-    def discrete(self):
-        return DiscreteLoop.from_sequence(self.vertices)
 
 
 def mu_discrete(e, loop):

@@ -11,8 +11,14 @@ same draw and returns the same index as gen.choice(n, p=row), draw for
 draw.  Tables are built once per sampler, bridge row or Wilson call; only
 the pointed-loop step conditioned on the loop's base point and length is
 built at each step.
+
+Soup statistics are sums over loop positions: the occupation field, the
+visit counts N_x and the oriented traversal counts N_{x,y} of an ensemble
+(and the per-sample statistics of the verify suites) are each one
+np.add.at or np.bincount over the flat arrays of _positions.
 """
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,32 +57,39 @@ class LoopEnsemble:
 
     def occupation(self):
         """Occupation field L-hat over the vertex list."""
-        index = {v: i for i, v in enumerate(self.vertices)}
-        occ = self.trivial.astype(float).copy()
-        for loop in self.loops:
-            for v, t in zip(loop.vertices, loop.taus):
-                occ[index[v]] += t
+        vertex, _, tau, _ = _positions(self.vertices, self.loops)
+        occ = self.trivial.astype(float)
+        np.add.at(occ, vertex, tau)
         return occ
 
     def traversals(self):
         """Oriented-edge traversal counts N_{x,y} as a dense matrix."""
-        index = {v: i for i, v in enumerate(self.vertices)}
         n = len(self.vertices)
-        N = np.zeros((n, n), dtype=int)
-        for loop in self.loops:
-            p = loop.p
-            for i in range(p):
-                N[index[loop.vertices[i]], index[loop.vertices[(i + 1) % p]]] += 1
-        return N
+        vertex, successor, _, _ = _positions(self.vertices, self.loops)
+        return np.bincount(vertex * n + successor, minlength=n * n).reshape(n, n)
 
     def visit_counts(self):
         """Vertex visit counts N_x over nontrivial loops."""
-        index = {v: i for i, v in enumerate(self.vertices)}
-        N = np.zeros(len(self.vertices), dtype=int)
-        for loop in self.loops:
-            for v in loop.vertices:
-                N[index[v]] += 1
-        return N
+        vertex, _, _, _ = _positions(self.vertices, self.loops)
+        return np.bincount(vertex, minlength=len(self.vertices))
+
+
+def _positions(vertices, loops):
+    """Every position of an iterable of loops as flat arrays: the vertex
+    index, the index of the next vertex around the loop, the holding time,
+    plus each loop's length.  Positions run loop by loop in iteration
+    order, so np.add.at over them adds each cell's terms in sampling
+    order.  One pass over raw buffers: a generator of loops is never held
+    in memory as loop objects."""
+    index = {v: i for i, v in enumerate(vertices)}
+    vertex, successor, tau, lengths = array("q"), array("q"), array("d"), array("q")
+    for loop in loops:
+        idx = [index[v] for v in loop.vertices]
+        vertex.extend(idx)
+        successor.extend(idx[1:] + idx[:1])
+        tau.extend(loop.taus)
+        lengths.append(len(idx))
+    return tuple(np.array(a) for a in (vertex, successor, tau, lengths))
 
 
 @dataclass
@@ -261,12 +274,6 @@ class BridgePath:
 
     vertices: tuple
     taus: tuple
-
-    def occupation(self):
-        occ = {}
-        for v, t in zip(self.vertices, self.taus):
-            occ[v] = occ.get(v, 0.0) + t
-        return occ
 
 
 def sample_bridge(e, x, y, rng, max_steps=10**7):

@@ -10,25 +10,30 @@ suite degrades to its exact subset when n_samples = 0.
 
 import itertools
 import json
+from collections import Counter
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats as sstats
 
-from .exact import green, partition_ratio, transfer_matrix
+from .exact import _omega_matrix, green, partition_ratio, transfer_matrix
 from .graph import EnergyForm, GraphError, restrict, trace_on
 from .loops import (
     alpha_permanent,
     enumerate_loops,
     mu_hit_avoid,
     mu_nontrivial_total,
+    occupation_laplace,
     spectral_radius,
 )
 from .rng import as_generator
 from .samplers import (
     PointedLoopSampler,
+    SpanningTree,
     _draw,
+    _positions,
     _step_table,
     loop_erase,
     sample_bridge,
@@ -154,6 +159,12 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _suite(name, fixture, n_samples, rng):
+    """Start time, generator and empty report of a sampled suite."""
+    seed = getattr(rng, "seed", rng if isinstance(rng, int) else None)
+    return time.perf_counter(), as_generator(rng), VerificationReport(name, fixture, n_samples, seed)
+
+
 def _mean_se(values):
     values = np.asarray(values, dtype=float)
     n = len(values)
@@ -161,24 +172,23 @@ def _mean_se(values):
 
 
 def _soup_occupations(e, alpha, gen, n_samples, need_trav=False):
-    """Vectorized soup statistics: per-sample occupation fields, visit
-    counts, and (optionally) oriented traversal-count matrices."""
+    """Per-sample soup statistics of n_samples independent soups:
+    occupation fields, visit counts and (optionally) oriented
+    traversal-count matrices."""
     sampler = PointedLoopSampler(e)
     counts = gen.poisson(alpha * sampler.total, n_samples)
     occ = gen.gamma(alpha, 1.0 / e.lam, size=(n_samples, e.n))
+    # count arrays first: allocated before the draws, they leave the lowest
+    # peak RSS when suites run repeatedly in one process
     visits = np.zeros((n_samples, e.n), dtype=np.int64)
     trav = np.zeros((n_samples, e.n, e.n), dtype=np.int64) if need_trav else None
-    for s in range(n_samples):
-        for _ in range(counts[s]):
-            loop = sampler.sample(gen)
-            idx = [e.index[v] for v in loop.vertices]
-            for i, t in zip(idx, loop.taus):
-                occ[s, i] += t
-                visits[s, i] += 1
-            if need_trav:
-                p = len(idx)
-                for i in range(p):
-                    trav[s, idx[i], idx[(i + 1) % p]] += 1
+    loops = (sampler.sample(gen) for _ in range(counts.sum()))  # drawn in sample order
+    vertex, successor, tau, lengths = _positions(e.vertices, loops)
+    sample = np.repeat(np.repeat(np.arange(n_samples), counts), lengths)
+    np.add.at(occ, (sample, vertex), tau)
+    np.add.at(visits, (sample, vertex), 1)
+    if need_trav:
+        np.add.at(trav, (sample, vertex, successor), 1)
     return occ, visits, trav
 
 
@@ -262,8 +272,8 @@ def exact_orth_covariance(e, x, y, k, l, alpha):
             for a in range(m + 1):
                 for b in range(r + 1):
                     acc += (
-                        _binom(m, a)
-                        * _binom(r, b)
+                        math.comb(m, a)
+                        * math.comb(r, b)
                         * (-alpha * sx) ** (m - a)
                         * (-alpha * sy) ** (r - b)
                         * raw(a, b)
@@ -272,10 +282,12 @@ def exact_orth_covariance(e, x, y, k, l, alpha):
     return total
 
 
-def _binom(n, k):
-    from math import comb
-
-    return comb(n, k)
+def _orth_target(gxy, k, l, alpha):
+    """E[Q_k(L^x) Q_l(L^y)] = delta_{kl} (G^{xy})^{2k} alpha(alpha+1)...(alpha+k-1) / k!."""
+    if k != l:
+        return 0.0
+    rising = float(np.prod([alpha + t for t in range(k)]))
+    return gxy ** (2 * k) * rising / math.factorial(k)
 
 
 def enumerate_spanning_trees(e, root=None):
@@ -403,10 +415,7 @@ def verify_dynkin(e, k=1, n_samples=0, rng=0, fixture="?"):
     """L-hat at alpha=k/2 versus half the squared norm of k free fields:
     exact Isserlis-vs-permanent agreement, sampled joint moments up to
     order 3, and the bridge identity at k=1."""
-    t0 = time.perf_counter()
-    gen = as_generator(rng)
-    seed = getattr(rng, "seed", rng if isinstance(rng, int) else None)
-    report = VerificationReport("dynkin", fixture, n_samples, seed)
+    t0, gen, report = _suite("dynkin", fixture, n_samples, rng)
     alpha = k / 2.0
     bundle = green(e)
     G = bundle.G
@@ -442,19 +451,12 @@ def verify_dynkin(e, k=1, n_samples=0, rng=0, fixture="?"):
             bridge_f = np.empty(n_samples)
             for s in range(n_samples):
                 b = sample_bridge(e, x, y, gen)
-                tot = 0.0
-                for v, t in zip(b.vertices, b.taus):
-                    tot += chi[e.index[v]] * t
-                bridge_f[s] = np.exp(-tot)
+                # builtin sum adds term by term, in path order
+                bridge_f[s] = np.exp(-sum(chi[e.indices(b.vertices)] * b.taus))
             rhs_vals = G[0, 1] * np.exp(-occ_half @ chi) * bridge_f
             m1, s1 = _mean_se(lhs_vals)
             m2, s2 = _mean_se(rhs_vals)
-            se = float(np.hypot(s1, s2))
-            report.checks.append(
-                Check("bridge identity E[phi_x phi_y F(phi^2/2)]", "stat",
-                      exact=m2, estimate=m1, se=se,
-                      z=float((m1 - m2) / se) if se > 0 else 0.0)
-            )
+            report.add_stat("bridge identity E[phi_x phi_y F(phi^2/2)]", m2, m1, float(np.hypot(s1, s2)))
     return report.finalize(t0)
 
 
@@ -469,10 +471,7 @@ def verify_transfer_current(e, edge_sets=None, n_samples=0, rng=0, root=None,
                             fixture="?"):
     """Spanning trees: exhaustive-law oracle, edge-inclusion determinants,
     the determinantal Laplace functional and negative association."""
-    t0 = time.perf_counter()
-    gen = as_generator(rng)
-    seed = getattr(rng, "seed", rng if isinstance(rng, int) else None)
-    report = VerificationReport("transfer_current", fixture, n_samples, seed)
+    t0, gen, report = _suite("transfer_current", fixture, n_samples, rng)
     all_edges = [
         (e.vertices[i], e.vertices[j])
         for i in range(e.n)
@@ -483,18 +482,18 @@ def verify_transfer_current(e, edge_sets=None, n_samples=0, rng=0, root=None,
         edge_sets = [[edge] for edge in all_edges[:2]]
         if len(all_edges) >= 2:
             edge_sets.append(all_edges[:2])
+    named_sets = [
+        ("+".join(f"{a}-{b}" for a, b in edges), edges, _tree_edge_probability(e, edges, root=root))
+        for edges in edge_sets
+    ]
     oracle = None
     if e.n <= 4:
-        oracle = enumerate_spanning_trees(e, root=root)
+        oracle = [(SpanningTree(parent, root), p) for parent, p in enumerate_spanning_trees(e, root=root)]
         report.add_exact("tree law total mass", 1.0, sum(p for _, p in oracle), 1e-9)
-        for edges in edge_sets:
-            det_prob = _tree_edge_probability(e, edges, root=root)
+        for name, edges, det_prob in named_sets:
             brute = sum(
-                p
-                for parent, p in oracle
-                if all(parent.get(a) == b or parent.get(b) == a for a, b in edges)
+                p for tree, p in oracle if all(tree.contains_edge(a, b) for a, b in edges)
             )
-            name = "+".join(f"{a}-{b}" for a, b in edges)
             report.add_exact(f"inclusion det vs oracle [{name}]", brute, det_prob, 1e-9)
     # negative association, determinants only
     if len(all_edges) >= 2:
@@ -514,12 +513,12 @@ def verify_transfer_current(e, edge_sets=None, n_samples=0, rng=0, root=None,
     )
     laplace_exact = float(np.linalg.det(np.eye(len(all_edges)) - d[:, None] * K_all * d[None, :]))
     if n_samples > 0:
-        counts = {}
+        counts = Counter()
         incl = np.zeros(len(edge_sets))
         lap = np.empty(n_samples)
         for s in range(n_samples):
             tree, _ = wilson_sample(e, gen, root=root)
-            counts[tree.key()] = counts.get(tree.key(), 0) + 1
+            counts[tree.key()] += 1
             for ti, edges in enumerate(edge_sets):
                 if all(tree.contains_edge(a, b) for a, b in edges):
                     incl[ti] += 1
@@ -527,16 +526,13 @@ def verify_transfer_current(e, edge_sets=None, n_samples=0, rng=0, root=None,
                 -sum(g_values[edge] for edge in all_edges if tree.contains_edge(*edge))
             )
         if oracle is not None:
-            keys = [tuple(sorted(parent.items(), key=lambda kv: str(kv[0]))) for parent, _ in oracle]
             expected = np.array([p for _, p in oracle]) * n_samples
-            observed = np.array([counts.get(key, 0) for key in keys], dtype=float)
+            observed = np.array([counts[tree.key()] for tree, _ in oracle], dtype=float)
             chi2, p = sstats.chisquare(observed, expected)
-            report.add_pvalue(f"tree law chi-square ({len(keys)} trees)", p)
-        for ti, edges in enumerate(edge_sets):
-            det_prob = _tree_edge_probability(e, edges, root=root)
+            report.add_pvalue(f"tree law chi-square ({len(oracle)} trees)", p)
+        for ti, (name, _, det_prob) in enumerate(named_sets):
             freq = incl[ti] / n_samples
             se = np.sqrt(max(det_prob * (1 - det_prob), 1e-12) / n_samples)
-            name = "+".join(f"{a}-{b}" for a, b in edges)
             report.add_stat(f"inclusion freq [{name}]", det_prob, freq, se)
         mean, se = _mean_se(lap)
         report.add_stat("edge Laplace functional", laplace_exact, mean, se)
@@ -559,22 +555,17 @@ def _walk_to_absorption(e, table, start, gen, max_steps=10**7):
 def verify_loop_erasure(e, x, y, n_samples=0, rng=0, fixture="?"):
     """Loop-erased bridge law against prod C * det G_eta, plus the
     straight-to-cemetery probability kappa_x G^{xx}."""
-    t0 = time.perf_counter()
-    gen = as_generator(rng)
-    seed = getattr(rng, "seed", rng if isinstance(rng, int) else None)
-    report = VerificationReport("loop_erasure", fixture, n_samples, seed)
+    t0, gen, report = _suite("loop_erasure", fixture, n_samples, rng)
     law, total, gxy = _erased_path_law(e, x, y)
     report.add_exact("sum of erased-path masses = G^{x,y}", gxy, total, 1e-9)
     i = e.index[x]
     p_direct = e.kappa[i] * green(e).G[i, i]
     if n_samples > 0:
-        counts = {}
-        for _ in range(n_samples):
-            b = sample_bridge(e, x, y, gen)
-            key = tuple(loop_erase(list(b.vertices)))
-            counts[key] = counts.get(key, 0) + 1
+        counts = Counter(
+            tuple(loop_erase(list(sample_bridge(e, x, y, gen).vertices))) for _ in range(n_samples)
+        )
         tv = 0.5 * sum(
-            abs(counts.get(path, 0) / n_samples - mass / total)
+            abs(counts[path] / n_samples - mass / total)
             for path in sorted(set(law) | set(counts))
             for mass in [law.get(path, 0.0)]
         )
@@ -582,12 +573,8 @@ def verify_loop_erasure(e, x, y, n_samples=0, rng=0, fixture="?"):
             f"bridge erasure TV distance ({len(law)} paths)", tv < 0.01,
             residual=tv, tol=0.01,
         )
-        hits = 0
         table = _step_table(e)
-        for _ in range(n_samples):
-            walk = _walk_to_absorption(e, table, x, gen)
-            if loop_erase(walk) == [x]:
-                hits += 1
+        hits = sum(loop_erase(_walk_to_absorption(e, table, x, gen)) == [x] for _ in range(n_samples))
         freq = hits / n_samples
         se = np.sqrt(p_direct * (1 - p_direct) / n_samples)
         report.add_stat("P(erased walk goes straight to cemetery)", p_direct, freq, se)
@@ -598,12 +585,11 @@ def _validate_involution(e, rho, partition):
     for v in e.vertices:
         if rho.get(rho.get(v)) != v:
             raise GraphError(f"rho is not an involution at {v!r}")
-    for v in e.vertices:
-        for w in e.vertices:
-            if abs(e.C[e.index[v], e.index[w]] - e.C[e.index[rho[v]], e.index[rho[w]]]) > 1e-12:
-                raise GraphError("rho does not preserve the conductances")
-        if abs(e.kappa[e.index[v]] - e.kappa[e.index[rho[v]]]) > 1e-12:
-            raise GraphError("rho does not preserve the killing")
+    perm = e.indices([rho[v] for v in e.vertices])
+    if np.any(np.abs(e.C - e.C[np.ix_(perm, perm)]) > 1e-12):
+        raise GraphError("rho does not preserve the conductances")
+    if np.any(np.abs(e.kappa - e.kappa[perm]) > 1e-12):
+        raise GraphError("rho does not preserve the killing")
     xp, xm, x0 = (list(s) for s in partition)
     if set(xp) | set(xm) | set(x0) != set(e.vertices):
         raise GraphError("partition does not cover the vertex set")
@@ -636,7 +622,7 @@ def verify_reflection_positivity(e, rho, partition=None, counterexample_sets=Non
         residual=float(eigs.min()), tol=1e-9,
     )
     G = green(et).G
-    rho_idx = {et.index[v]: et.index[rho[v]] for v in et.vertices}
+    mirror = et.indices([rho[v] for v in et.vertices])  # chi o rho = chi[mirror]
     chis = []
     for v in xp:
         chi = np.zeros(et.n)
@@ -652,10 +638,7 @@ def verify_reflection_positivity(e, rho, partition=None, counterexample_sets=Non
     M = np.empty((len(chis), len(chis)))
     for a, ca in enumerate(chis):
         for b, cb in enumerate(chis):
-            mirrored = np.zeros(et.n)
-            for idx, val in enumerate(cb):
-                mirrored[rho_idx[idx]] = val
-            tot = ca + mirrored
+            tot = ca + cb[mirror]
             M[a, b] = np.exp(0.5 * tot @ G @ tot)
     gram_eigs = np.linalg.eigvalsh((M + M.T) / 2)
     report.add_bool(
@@ -704,10 +687,7 @@ def verify_energy_variation(e, e2=None, omega=None, alpha=1.0, n_samples=0,
                             rng=0, fixture="?"):
     """Multiplicative loop functionals against partition-function ratios,
     plus finite-difference derivative and Schwinger-function checks."""
-    t0 = time.perf_counter()
-    gen = as_generator(rng)
-    seed = getattr(rng, "seed", rng if isinstance(rng, int) else None)
-    report = VerificationReport("energy_variation", fixture, n_samples, seed)
+    t0, gen, report = _suite("energy_variation", fixture, n_samples, rng)
     if e2 is None:
         e2 = e
     if e.vertices != e2.vertices:
@@ -716,16 +696,10 @@ def verify_energy_variation(e, e2=None, omega=None, alpha=1.0, n_samples=0,
         raise GraphError("need C' <= C with support(C') inside support(C)")
     if np.any(e2.lam < e.lam - 1e-12):
         raise GraphError("need lambda' >= lambda")
-    W = np.zeros((e.n, e.n)) if omega is None else None
-    if W is None:
-        from .exact import _omega_matrix
-
-        W = _omega_matrix(e, omega)
+    W = np.zeros((e.n, e.n)) if omega is None else _omega_matrix(e, omega)
     ratio = partition_ratio(e, e2, W, alpha)
     if np.allclose(e2.C, e.C) and not W.any():
         chi = e2.kappa - e.kappa
-        from .loops import occupation_laplace
-
         report.add_exact(
             "ratio equals occupation Laplace transform",
             occupation_laplace(e, alpha, chi), ratio.real, 1e-12,
@@ -768,7 +742,7 @@ def verify_energy_variation(e, e2=None, omega=None, alpha=1.0, n_samples=0,
     if e.n <= 4:
         loops, tail = enumerate_loops(e, 12)
         enum = sum(
-            mass * loop.visit_counts().get(e.vertices[x_idx], 0) / e.lam[x_idx]
+            mass * loop.vertices.count(e.vertices[x_idx]) / e.lam[x_idx]
             for loop, mass in loops
         )
         rho_b = spectral_radius(e)
@@ -836,28 +810,18 @@ def verify_occupation_marginals(e, alpha_list=(0.5, 1.0, 2.0), n_samples=0,
                                 rng=0, fixture="?"):
     """Gamma marginals, geometric visit counts and the renormalized-power
     orthogonality, exact and sampled."""
-    t0 = time.perf_counter()
-    gen = as_generator(rng)
-    seed = getattr(rng, "seed", rng if isinstance(rng, int) else None)
-    report = VerificationReport("occupation", fixture, n_samples, seed)
+    t0, gen, report = _suite("occupation", fixture, n_samples, rng)
     G = green(e).G
     x, y = e.vertices[0], e.vertices[min(1, e.n - 1)]
+    i, j = e.index[x], e.index[y]
     for alpha in alpha_list:
         for k, l in [(1, 1), (1, 2), (2, 2)]:
             exact = exact_orth_covariance(e, x, y, k, l, alpha)
-            i, j = e.index[x], e.index[y]
-            rising = float(np.prod([alpha + t for t in range(k)]))
-            target = (
-                G[i, j] ** (2 * k) * rising / float(np.prod(range(1, k + 1)))
-                if k == l
-                else 0.0
-            )
             report.add_exact(
-                f"orthogonality Q_{k},Q_{l} (alpha={alpha})", target, exact,
-                1e-9,
+                f"orthogonality Q_{k},Q_{l} (alpha={alpha})", _orth_target(G[i, j], k, l, alpha),
+                exact, 1e-9,
             )
     if n_samples > 0:
-        i = e.index[x]
         for alpha in alpha_list:
             occ, visits, _ = _soup_occupations(e, alpha, gen, n_samples)
             ks = sstats.kstest(occ[:, i], "gamma", args=(alpha, 0.0, G[i, i]))
@@ -877,7 +841,6 @@ def verify_occupation_marginals(e, alpha_list=(0.5, 1.0, 2.0), n_samples=0,
                 chi2, p = sstats.chisquare(observed, probs * n_samples)
                 report.add_pvalue("chi-square N_x + 1 vs geometric", p)
             if e.n >= 2:
-                j = e.index[y]
                 cx = occ[:, i] - alpha * G[i, i]
                 cy = occ[:, j] - alpha * G[j, j]
                 q2x = 0.5 * (cx**2 - 2 * G[i, i] * cx - alpha * G[i, i] ** 2)
@@ -888,14 +851,9 @@ def verify_occupation_marginals(e, alpha_list=(0.5, 1.0, 2.0), n_samples=0,
                     (2, 2): q2x * q2y,
                 }
                 for (k, l), vals in pairs.items():
-                    rising = float(np.prod([alpha + t for t in range(k)]))
-                    target = (
-                        G[i, j] ** (2 * k) * rising / float(np.prod(range(1, k + 1)))
-                        if k == l
-                        else 0.0
-                    )
                     mean, se = _mean_se(vals)
                     report.add_stat(
-                        f"sampled E[Q_{k} Q_{l}] (alpha={alpha})", target, mean, se
+                        f"sampled E[Q_{k} Q_{l}] (alpha={alpha})", _orth_target(G[i, j], k, l, alpha),
+                        mean, se,
                     )
     return report.finalize(t0)

@@ -53,32 +53,26 @@ def line_graph_operator(e):
     return Q, edges
 
 
-def _series_logdet(M_coeffs, m_max):
-    """u-coefficients of -log det(I - M(u)) for M(u) = sum_d u^d M_d.
-
-    Uses -log det(I-M) = sum_k Tr(M^k)/k with truncated polynomial-matrix
-    powers.
-    """
+def _trace_series(M_coeffs, m_max):
+    """traces[k, d] = u^d coefficient of Tr(M(u)^k), k, d = 0..m_max, for
+    M(u) = sum_d u^d M_d with no constant term; powers are truncated
+    polynomial matrices."""
     n = M_coeffs[1].shape[0]
-    out = np.zeros(m_max + 1)
     # power[d] = coefficient matrix of u^d in M(u)^k
-    power = [np.zeros((n, n)) for _ in range(m_max + 1)]
-    for d, M in M_coeffs.items():
-        power[d] = M.copy()
-    current = [p.copy() for p in power]
-    for k in range(1, m_max + 1):
-        if k > 1:
-            nxt = [np.zeros((n, n)) for _ in range(m_max + 1)]
-            for d1 in range(m_max + 1):
-                if not current[d1].any():
-                    continue
-                for d2, M in M_coeffs.items():
-                    if d1 + d2 <= m_max:
-                        nxt[d1 + d2] += current[d1] @ M
-            current = nxt
-        for d in range(m_max + 1):
-            out[d] += np.trace(current[d]) / k
-    return out
+    power = np.zeros((m_max + 1, n, n))
+    power[0] = np.eye(n)
+    traces = [np.trace(power, axis1=1, axis2=2)]
+    for _ in range(m_max):
+        nxt = np.zeros_like(power)
+        for d1 in range(m_max + 1):
+            if not power[d1].any():
+                continue
+            for d2, M in M_coeffs.items():
+                if d1 + d2 <= m_max:
+                    nxt[d1 + d2] += power[d1] @ M
+        power = nxt
+        traces.append(np.trace(power, axis1=1, axis2=2))
+    return np.array(traces)
 
 
 def _series_counts(e, m_max):
@@ -87,36 +81,18 @@ def _series_counts(e, m_max):
     D = np.diag(A.sum(axis=1))
     n_edges = int(A.sum()) // 2
     chi = n_edges - e.n
-    coeffs = {1: A, 2: -(D - np.eye(e.n))}
-    # log IZ(u) = -chi log(1-u^2) - log det(I - uA + u^2(D-I))
-    logdet_series = _series_logdet(coeffs, m_max)  # = -log det series
-    logIZ = logdet_series.copy()
+    traces = _trace_series({1: A, 2: -(D - np.eye(e.n))}, m_max)
+    # log IZ(u) = -chi log(1-u^2) - log det(I - M(u)) with
+    # -log det(I - M) = sum_k Tr(M^k)/k
+    logIZ = np.zeros(m_max + 1)
+    for k in range(1, m_max + 1):
+        logIZ += traces[k] / k
     for j in range(1, m_max // 2 + 1):
         logIZ[2 * j] += chi / j
     N = [logIZ[m] * m for m in range(1, m_max + 1)]
-
-    # sum L_m u^m = (1-u^2) Tr(B(u)^{-1}) - |X| with B = I - M(u)
-    n = e.n
-    tr = np.zeros(m_max + 1)
-    tr[0] = n
-    current = [np.zeros((n, n)) for _ in range(m_max + 1)]
-    current[0] = np.eye(n)
-    for _ in range(1, m_max + 1):
-        nxt = [np.zeros((n, n)) for _ in range(m_max + 1)]
-        nxt[0] = np.eye(n)
-        for d1 in range(m_max + 1):
-            if not current[d1].any():
-                continue
-            for d2, M in coeffs.items():
-                if d1 + d2 <= m_max:
-                    nxt[d1 + d2] += current[d1] @ M
-        current = nxt
-    for d in range(m_max + 1):
-        tr[d] = np.trace(current[d])
-    L = []
-    for m in range(1, m_max + 1):
-        val = tr[m] - (tr[m - 2] if m >= 2 else 0.0)
-        L.append(val)
+    # sum L_m u^m = (1-u^2) Tr((I - M(u))^{-1}) - |X|, Tr((I-M)^{-1}) = sum_k Tr(M^k)
+    tr = traces.sum(axis=0)
+    L = [tr[m] - (tr[m - 2] if m >= 2 else 0.0) for m in range(1, m_max + 1)]
     return chi, N, L
 
 
@@ -173,6 +149,8 @@ def zeta_ihara(e, u_grid, m_max):
     for u in u_grid:
         if not (0 < u < u_max):
             raise GraphError(f"u = {u} outside the convergence region (0, {u_max})")
+    if m_max < 0:
+        raise GraphError(f"series length m_max = {m_max} is negative")
     chi, N_series, L_series = _series_counts(e, m_max)
     N = _round_counts(N_series, "N")
     L = _round_counts(L_series, "L")

@@ -141,11 +141,13 @@ def test_green_requires_transient(k4_rooted):
         ls.green(k4_rooted)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_logdet_rejects_nan():
     with pytest.raises(GraphError):
         _logdet_posdef(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_green_of_unvalidated_nan_form_raises():
     e = ls.EnergyForm(["x", "y"], [[0, 1], [1, 0]], [float("nan"), 1.0], validate=False)
     with pytest.raises(GraphError):

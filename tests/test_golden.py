@@ -58,10 +58,43 @@ def _gff(rng):
     return [ls.sample_gff(e, rng).phi.tolist() for _ in range(20)]
 
 
+def _report(report):
+    doc = report.to_dict()
+    del doc["wall_time"]
+    return doc
+
+
 def _loop_erasure(rng):
-    report = ls.verify_loop_erasure(_form("k4c1"), "a", "b", n_samples=300, rng=rng).to_dict()
-    del report["wall_time"]
-    return report
+    return _report(ls.verify_loop_erasure(_form("k4c1"), "a", "b", n_samples=300, rng=rng))
+
+
+def _occupation(rng):
+    return _report(ls.verify_occupation_marginals(_form("p2"), n_samples=300, rng=rng))
+
+
+def _dynkin(rng):
+    return _report(ls.verify_dynkin(_form("k4c1"), k=1, n_samples=300, rng=rng))
+
+
+def _energy_variation(rng):
+    e = _form("counterexample")
+    kappa = e.kappa.copy()
+    kappa[0] += 1.0
+    e2 = ls.EnergyForm(e.vertices, e.C, kappa)
+    return _report(ls.verify_energy_variation(e, e2, n_samples=300, rng=rng))
+
+
+def _zeta(rng):
+    return _report(ls.verify_zeta(_form("cube")))
+
+
+def _soup_stats(rng):
+    e = _form("k4c1")
+    out = []
+    for _ in range(20):
+        ens = ls.sample_loop_soup(e, 2.0, rng)
+        out.append([ens.occupation().tolist(), ens.traversals().tolist(), ens.visit_counts().tolist()])
+    return out
 
 
 SAMPLERS = {
@@ -72,6 +105,11 @@ SAMPLERS = {
     "wilson_k4_rooted": _wilson("k4_rooted", "a"),
     "gff_p2": _gff,
     "verify_loop_erasure_k4c1": _loop_erasure,
+    "verify_occupation_p2": _occupation,
+    "verify_dynkin_k4c1": _dynkin,
+    "verify_energy_variation_counterexample": _energy_variation,
+    "verify_zeta_cube": _zeta,
+    "soup_stats_k4c1": _soup_stats,
 }
 
 GOLDEN = {
@@ -83,8 +121,18 @@ GOLDEN = {
     ("loop_soup_p2", 1): "e7f05e84cdb01de5f322745d8a3c3c542398e917eadca5d672c213029dd4901f",
     ("pointed_loop_k4c1", 0): "6b13584d4ecc33eb6cab707fd3fe46b7053649402a4bdfde2b5c6a85f9c55253",
     ("pointed_loop_k4c1", 1): "7ee3659927e4c9199e4478f95937f52396ad8652705b210bc1942621e13fba97",
+    ("soup_stats_k4c1", 0): "40e8f8a8ed4ea9c28ff2c53e153d80f92be77f507a6bb0a1220027ea21dfec04",
+    ("soup_stats_k4c1", 1): "b817d324c16d32a0b51f77a69ce31e0e394dd04ddaeccc2576906df8b84daef0",
+    ("verify_dynkin_k4c1", 0): "c9bc15ade614db95f1a48f077d78f5a264d9cb2b7955ed318137cfa503a8fb76",
+    ("verify_dynkin_k4c1", 1): "bc3f2569a921deef50adad2af1a70eff4d5abc2fc49a78a42a96defae2dbdfa5",
+    ("verify_energy_variation_counterexample", 0): "76a988bc0690c3ebf1bc93972e20730be0c630d9729cb41ee3d15d2bbf619df9",
+    ("verify_energy_variation_counterexample", 1): "9536d1e011ea781b93e757b8e72a43ed2220cee93430a26e62fea87f5608c29b",
     ("verify_loop_erasure_k4c1", 0): "76e8bfca23f6028e406cc8d8a739a0f6bbe69ad80b6d249d51aa3ac5958d97e3",
     ("verify_loop_erasure_k4c1", 1): "b4d45d710569b7a7e40b7007ee19407dc7e3139f7408ad9ce6b4a1c00882e479",
+    ("verify_occupation_p2", 0): "4521a4a9e3bc8bf531397d71859771bf13703ef3d7d8a41bb0832129c1d7848d",
+    ("verify_occupation_p2", 1): "83585a23a5e7d0359fcc1650cb82c368a00fb74cd3e7bf9fd3a876d54d092376",
+    ("verify_zeta_cube", 0): "3b96219d7b23ce82fa7cebd0843de1656e3a9380bfec466634c704f7fa56035a",
+    ("verify_zeta_cube", 1): "bb66dcf618a8c8adc15d990fc40171f9d14cf73b19deabddf27fac87a32afd64",
     ("wilson_k4_rooted", 0): "0d8c39495b33e6ddf5b6e89f7adcb5938bba9ff216ef40bcb3c4d9fb1a47befb",
     ("wilson_k4_rooted", 1): "59851b57118e5b44b973158afd3decbdf0948e3f17195ca1ce4299e02ac0355d",
     ("wilson_k4c1", 0): "a6a88bbd14e55a1d384a8a242d12e622fc93732d60e6e8cf9a35cecea18a2da8",

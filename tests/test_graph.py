@@ -69,6 +69,7 @@ def test_non_finite_killing_rejected(bad):
         ls.EnergyForm(["x", "y"], [[0, 1], [1, 0]], [1.0, bad])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lambda_overflow_rejected():
     with pytest.raises(GraphError, match="lambda overflows"):
         ls.EnergyForm(["x", "y"], [[0, 1e308], [1e308, 0]], [1e308, 1.0])

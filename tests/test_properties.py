@@ -4,12 +4,13 @@ import json
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import loopsoup as ls
 from loopsoup.graph import GraphError
 from loopsoup.samplers import _cdf, _draw, _sparse_cdfs
+from loopsoup.verify import _soup_occupations
 
 from conftest import random_energy_form
 
@@ -182,3 +183,63 @@ def test_table_draws_match_generator_choice(M, seed):
             assert column[u][_draw(sparse, cdf[u])] == expected
     assert _state(dense) == _state(ref)
     assert _state(sparse) == _state(ref)
+
+
+def _reference_stats(ens):
+    """Occupation, traversal and visit counts summed position by position."""
+    index = {v: i for i, v in enumerate(ens.vertices)}
+    n = len(ens.vertices)
+    occ = ens.trivial.astype(float).copy()
+    trav = np.zeros((n, n), dtype=int)
+    visits = np.zeros(n, dtype=int)
+    for loop in ens.loops:
+        for i in range(loop.p):
+            u = index[loop.vertices[i]]
+            occ[u] += loop.taus[i]
+            visits[u] += 1
+            trav[u, index[loop.vertices[(i + 1) % loop.p]]] += 1
+    return occ, trav, visits
+
+
+_TAUS = st.floats(min_value=1e-6, max_value=1e3)
+
+
+@st.composite
+def _ensembles(draw):
+    """Loop ensembles on 1-4 vertices: 0-6 loops of length 2-6."""
+    vertices = tuple(f"v{i}" for i in range(draw(st.integers(min_value=1, max_value=4))))
+    loops = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        p = draw(st.integers(min_value=2, max_value=6))
+        loops.append(ls.PointedLoop(
+            tuple(draw(st.lists(st.sampled_from(vertices), min_size=p, max_size=p))),
+            tuple(draw(st.lists(_TAUS, min_size=p, max_size=p))),
+        ))
+    trivial = np.array(draw(st.lists(_TAUS, min_size=len(vertices), max_size=len(vertices))))
+    return ls.LoopEnsemble(vertices, 1.0, loops, trivial)
+
+
+@given(_ensembles())
+@example(ls.LoopEnsemble(("a", "b"), 1.0, [], np.array([0.5, 1.5])))
+@example(ls.LoopEnsemble(("a", "b"), 1.0, [ls.PointedLoop(("b", "a"), (0.25, 0.75))], np.array([0.5, 1.5])))
+@settings(deadline=None, max_examples=100)
+def test_ensemble_statistics_match_per_position_sums(ens):
+    occ, trav, visits = _reference_stats(ens)
+    assert np.array_equal(ens.occupation(), occ)
+    assert np.array_equal(ens.traversals(), trav)
+    assert np.array_equal(ens.visit_counts(), visits)
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=20))
+@settings(**COMMON)
+def test_soup_occupations_without_loops_are_the_gamma_draws(seed, n_samples):
+    e = ls.load_energy_form(ls.fixture("k4c1"))
+    alpha = 1e-9
+    twin = ls.RngStream(seed).generator
+    counts = twin.poisson(alpha * ls.mu_nontrivial_total(e), n_samples)
+    assume(not counts.any())
+    gamma = twin.gamma(alpha, 1.0 / e.lam, size=(n_samples, e.n))
+    occ, visits, trav = _soup_occupations(e, alpha, ls.RngStream(seed).generator, n_samples, need_trav=True)
+    assert np.array_equal(occ, gamma)
+    assert not visits.any() and not trav.any()
+    assert visits.shape == (n_samples, e.n) and trav.shape == (n_samples, e.n, e.n)

@@ -24,6 +24,18 @@ def test_counts_match_enumeration(k4_rooted, cube):
         assert tuple(L_enum) == tuple(r.L)
 
 
+@pytest.mark.parametrize("m_max", [0, 1, 2])
+def test_short_series_match_enumeration(k4_rooted, m_max):
+    r = ls.zeta_ihara(k4_rooted, [0.05], m_max)
+    N_enum, L_enum = ls.non_backtracking_counts(k4_rooted, m_max)
+    assert (tuple(r.N), tuple(r.L)) == (tuple(N_enum), tuple(L_enum))
+
+
+def test_negative_series_length_rejected(cube):
+    with pytest.raises(ls.GraphError):
+        ls.zeta_ihara(cube, [0.05], -1)
+
+
 def test_grid_values_agree(k4_rooted):
     r = ls.zeta_ihara(k4_rooted, [0.05, 0.15, 0.25], 12)
     for u, iz_vertex, iz_line, iz_series in r.grid:
