@@ -49,10 +49,13 @@ def _emit(args, payload, text=None):
 
 
 def _parse_chi(e, raw):
+    try:
+        doc = json.loads(raw)
+        values = [float(val) for val in doc.values()]
+    except (AttributeError, TypeError, ValueError):
+        raise GraphError(f"--chi must be a JSON object {{vertex: number}}, not {raw!r}") from None
     chi = np.zeros(e.n)
-    if raw:
-        for v, val in json.loads(raw).items():
-            chi[e.index[v]] = float(val)
+    chi[e.indices(doc)] = values
     return chi
 
 
@@ -136,7 +139,10 @@ def cmd_zeta(args):
     e = load_energy_form(args.graph)
     degrees = e.C.sum(axis=1)
     u_hi = 1.0 / max(1.0, degrees.max() - 1.0)
-    grid = [float(u) for u in args.u_grid.split(",")] if args.u_grid else [0.2 * u_hi, 0.5 * u_hi]
+    try:
+        grid = [float(u) for u in args.u_grid.split(",")] if args.u_grid else [0.2 * u_hi, 0.5 * u_hi]
+    except ValueError:
+        raise GraphError(f"--u-grid must be comma separated numbers, not {args.u_grid!r}") from None
     report = zeta_ihara(e, grid, args.m_max)
     _emit(args, report.to_dict())
     return 0

@@ -3,6 +3,12 @@ matrices, hitting kernels, capacities and twisted partition functions.
 
 Everything here is a closed-form determinant or inverse of the energy
 matrix M_lambda - C; samplers and Monte Carlo checks live elsewhere.
+
+Every determinant here is real and positive, so _logdet_posdef is the one
+log-determinant.  For a transient chain and an antisymmetric one-form
+omega, A = M_lambda - C e^{i omega} is Hermitian, and |x* (C e^{i omega}) x|
+<= |x|^T C |x| gives x* A x >= |x|^T (M_lambda - C) |x| > 0: A is positive
+definite, so log det A is real and has no branch to track.
 """
 
 from dataclasses import dataclass
@@ -37,15 +43,6 @@ class GreenBundle:
     G: np.ndarray
     logdet_G: float
     logdet_IminusP: float
-    G_chi: np.ndarray | None = None
-
-    @property
-    def detG(self):
-        return float(np.exp(self.logdet_G))
-
-    def entry(self, x, y):
-        index = {v: i for i, v in enumerate(self.vertices)}
-        return float(self.G[index[x], index[y]])
 
     def to_dict(self):
         return {
@@ -63,30 +60,27 @@ class TransferMatrix:
 
 
 def _logdet_posdef(A):
+    """log det A of a real or Hermitian matrix whose determinant must be
+    real and positive; GraphError otherwise (singular, sign not 1, NaN)."""
     with np.errstate(invalid="ignore"):
         sign, logdet = np.linalg.slogdet(A)
-    # written so that a NaN sign or log-det fails the test
-    if not (sign > 0 and np.isfinite(logdet)):
+    # a NaN sign or log-det fails this test; rounding leaves the sign of a
+    # Hermitian positive definite matrix within 1e-8 of 1
+    if not (abs(sign - 1) < 1e-8 and np.isfinite(logdet)):
         raise GraphError("matrix is numerically singular or not positive definite")
     return logdet
 
 
-def green(e, chi=None):
-    """Green function G = (M_lambda - C)^{-1} of a transient chain.
-
-    With chi, also stores G_chi = (M_lambda + M_chi - C)^{-1}.
-    """
+def green(e):
+    """Green function G = (M_lambda - C)^{-1} of a transient chain."""
     if not e.transient:
         raise GraphError("Green function requires a transient chain (some killing)")
     L = e.laplacian()
-    G = np.linalg.inv(L)
     logdet_G = -_logdet_posdef(L)
+    G = np.linalg.inv(L)
     # log det(I-P) = log det(M_lambda - C) - sum log lambda
     logdet_IminusP = -logdet_G - float(np.log(e.lam).sum())
-    G_chi = None
-    if chi is not None:
-        G_chi = green_chi(e, chi)
-    return GreenBundle(e.vertices, G, logdet_G, logdet_IminusP, G_chi)
+    return GreenBundle(e.vertices, G, logdet_G, logdet_IminusP)
 
 
 def green_chi(e, chi):
@@ -94,6 +88,8 @@ def green_chi(e, chi):
     chi = np.asarray(chi, dtype=float)
     if chi.shape != (e.n,):
         raise GraphError("chi must be a per-vertex measure")
+    if not np.all(np.isfinite(chi)):
+        raise GraphError("chi must be finite")
     if np.any(chi < 0):
         raise GraphError("chi must be nonnegative")
     if not e.transient and not np.any(chi > 0):
@@ -192,67 +188,45 @@ def _omega_matrix(e, omega):
     if isinstance(omega, dict):
         W = np.zeros((e.n, e.n))
         for (x, y), w in omega.items():
-            i, j = e.index[x], e.index[y]
+            i, j = e.indices((x, y))
             W[i, j] = w
             W[j, i] = -w
-        return W
-    W = np.asarray(omega, dtype=float)
-    if W.shape != (e.n, e.n):
-        raise GraphError("one-form must be an n x n antisymmetric matrix")
+    else:
+        W = np.asarray(omega, dtype=float)
+        if W.shape != (e.n, e.n):
+            raise GraphError("one-form must be an n x n antisymmetric matrix")
+    if not np.all(np.isfinite(W)):
+        raise GraphError("one-form must be finite")
     if np.any(np.abs(W + W.T) > 1e-12 * max(1.0, np.abs(W).max())):
         raise GraphError("one-form is not antisymmetric")
     return W
 
 
-def twisted_green(e, omega, steps=16):
-    """Green function twisted by a one-form and the branch-tracked log Z.
+def twisted_green(e, omega):
+    """Green function twisted by a one-form, and log Z.
 
-    G^{(omega)} = (M_lambda - C e^{i omega})^{-1}.  log Z follows the
-    continuous branch along the homotopy t -> t*omega from the real value
-    at t=0; the phase is unwrapped with adaptive step refinement.
+    G^{(omega)} = A^{-1} with A = M_lambda - C e^{i omega}, and
+    log Z = -log det A = log(Z_{e,omega}).  A is Hermitian and positive
+    definite (see the module docstring), so log Z is real: a loop and its
+    reversal carry the same mass and opposite holonomy.
     """
     if not e.transient:
         raise GraphError("twisted Green function requires a transient chain")
     W = _omega_matrix(e, omega)
-    L0 = e.laplacian()
-
-    def logdet_at(t):
-        A = np.diag(e.lam) - e.C * np.exp(1j * t * W)
-        sign, logabs = np.linalg.slogdet(A)
-        return logabs, np.angle(sign)
-
-    while True:
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        raw = [logdet_at(t) for t in ts]
-        phases = np.empty(steps + 1)
-        phases[0] = raw[0][1]  # real positive determinant at t=0
-        ok = True
-        for j in range(1, steps + 1):
-            d = raw[j][1] - phases[j - 1]
-            d -= 2 * np.pi * np.round(d / (2 * np.pi))
-            if abs(d) > np.pi / 2:
-                ok = False
-                break
-            phases[j] = phases[j - 1] + d
-        if ok:
-            break
-        steps *= 2
-        if steps > 4096:
-            raise GraphError("branch tracking failed to converge")
-    logdet = raw[-1][0] + 1j * phases[-1]
-    G_omega = np.linalg.inv(np.diag(e.lam) - e.C * np.exp(1j * W))
-    log_Z = -logdet  # Z_{e,omega} = det(G^{(omega)})
-    if np.allclose(W, 0):
-        log_Z = complex(-_logdet_posdef(L0))
-    return G_omega, log_Z
+    A = np.diag(e.lam) - e.C * np.exp(1j * W)
+    log_Z = complex(-_logdet_posdef(A))
+    return np.linalg.inv(A), log_Z
 
 
 def partition_ratio(e, e2, omega=None, alpha=1.0):
-    """(Z_{e2,omega} / Z_e)^alpha on the continuous branch."""
+    """(Z_{e2,omega} / Z_e)^alpha, real and positive: both partition
+    functions are positive determinants (see the module docstring)."""
     if e.vertices != e2.vertices:
         raise GraphError("energy forms must share the vertex set")
     if np.any((e2.C > 0) & (e.C == 0)):
         raise GraphError("conductance support of e2 must lie inside that of e")
+    if not np.isfinite(alpha):
+        raise GraphError("alpha must be finite")
     if omega is None:
         omega = np.zeros((e.n, e.n))
     _, log_Z2 = twisted_green(e2, omega)

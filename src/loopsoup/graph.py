@@ -148,6 +148,7 @@ def load_energy_form(source):
         raise GraphError("duplicate vertex identifiers")
     n = len(vertices)
     C = np.zeros((n, n))
+    seen = set()
     for edge in doc.get("edges", []):
         if len(edge) != 3:
             raise GraphError(f"malformed edge entry {edge!r}")
@@ -157,8 +158,9 @@ def load_energy_form(source):
         if u == v:
             raise GraphError(f"self-loop edge at vertex {u!r}")
         i, j = index[u], index[v]
-        if C[i, j] != 0:
+        if (i, j) in seen:
             raise GraphError(f"duplicate edge ({u!r}, {v!r})")
+        seen.update({(i, j), (j, i)})
         C[i, j] = C[j, i] = w
     kappa = np.zeros(n)
     for v, k in doc.get("killing", {}).items():

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import green, green_chi, hitting_kernel
+from .exact import _logdet_posdef, green, green_chi, hitting_kernel
 from .graph import GraphError
 
 __all__ = [
@@ -219,10 +219,8 @@ def occupation_laplace(e, alpha, chi):
     bundle = green(e)
     sq = np.sqrt(chi)
     A = np.eye(e.n) + sq[:, None] * bundle.G * sq[None, :]
-    sign, logdetA = np.linalg.slogdet(A)
-    v1 = float(np.exp(-alpha * logdetA))
-    G_chi = green_chi(e, chi)
-    sign2, logdet_Gchi = np.linalg.slogdet(G_chi)
+    v1 = float(np.exp(-alpha * _logdet_posdef(A)))
+    logdet_Gchi = _logdet_posdef(green_chi(e, chi))
     v2 = float(np.exp(alpha * (logdet_Gchi - bundle.logdet_G)))
     if abs(v1 - v2) > 1e-9 * max(1.0, abs(v1)):
         raise GraphError("Laplace transform determinant forms disagree")
@@ -251,10 +249,7 @@ def _restricted_mass(e, keep_idx):
     if len(keep_idx) == 0:
         return 0.0
     sub = e.P[np.ix_(keep_idx, keep_idx)]
-    sign, logdet = np.linalg.slogdet(np.eye(len(keep_idx)) - sub)
-    if sign <= 0:
-        raise GraphError("restricted chain is not transient")
-    return -logdet
+    return -_logdet_posdef(np.eye(len(keep_idx)) - sub)
 
 
 def mu_hit_avoid(e, hit, avoid=(), alpha=1.0):

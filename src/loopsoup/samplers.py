@@ -185,6 +185,8 @@ class PointedLoopSampler:
                 k_cap *= 2
                 if k_cap > 1 << 16:
                     raise GraphError("length cap growth failed")
+        if k_cap < 2:
+            raise GraphError("k_cap must be at least 2 (nontrivial loops have length >= 2)")
         self.k_cap = k_cap
         self.powers = [np.eye(e.n), e.P.copy()]
         for _ in range(2, k_cap + 1):
@@ -251,8 +253,8 @@ def sample_loop_soup(e, alpha, rng, k_cap=None, trivial_detail_vertex=None):
     relative cutoff 1e-10) instead of the aggregate.
     """
     gen = as_generator(rng)
-    if alpha < 0:
-        raise GraphError("alpha must be nonnegative")
+    if not 0 <= alpha < np.inf:
+        raise GraphError("alpha must be finite and nonnegative")
     if alpha == 0:
         return LoopEnsemble(e.vertices, 0.0, [], np.zeros(e.n))
     sampler = PointedLoopSampler(e, k_cap)
@@ -284,7 +286,10 @@ def sample_bridge(e, x, y, rng, max_steps=10**7):
         raise GraphError("bridge sampling requires a transient chain")
     gen = as_generator(rng)
     i, j = e.index[x], e.index[y]
-    V = np.linalg.inv(np.eye(e.n) - e.P)
+    try:
+        V = np.linalg.inv(np.eye(e.n) - e.P)
+    except np.linalg.LinAlgError as err:
+        raise GraphError("I - P is singular: some component is never killed") from err
     if V[i, j] <= 0:
         raise GraphError(f"{y!r} unreachable from {x!r}")
     cdfs = {}  # row u of the h-transformed step law, built on first visit
@@ -365,10 +370,9 @@ def wilson_sample(e, rng, vertex_order=None, root=None):
     trivial = np.zeros(n)
     erased = []
     if root is not None:
-        in_tree[e.index[root]] = True
-    order = list(vertex_order) if vertex_order is not None else list(e.vertices)
-    for start_name in order:
-        start = e.index[start_name]
+        in_tree[e.indices([root])] = True
+    order = e.indices(vertex_order).tolist() if vertex_order is not None else range(n)
+    for start in order:
         if in_tree[start]:
             continue
         stack = [(start, float(gen.standard_exponential()) / e.lam[start])]

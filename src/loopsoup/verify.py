@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as sstats
 
-from .exact import _omega_matrix, green, partition_ratio, transfer_matrix
+from .exact import _logdet_posdef, _omega_matrix, green, partition_ratio, transfer_matrix
 from .graph import EnergyForm, GraphError, restrict, trace_on
 from .loops import (
     alpha_permanent,
@@ -311,7 +311,7 @@ def enumerate_spanning_trees(e, root=None):
         if root is None:
             raise GraphError("recurrent chain needs a root")
         keep = [v for v in e.vertices if v != root]
-        logZ = -np.linalg.slogdet(restrict(e, keep).laplacian())[1]
+        logZ = -_logdet_posdef(restrict(e, keep).laplacian())
         names = keep
         choosers = [
             [
@@ -761,7 +761,7 @@ def verify_energy_variation(e, e2=None, omega=None, alpha=1.0, n_samples=0,
             A = L.copy()
             A[x_idx, x_idx] += s
             A[y_idx, y_idx] += t
-            return -np.linalg.slogdet(A)[1]
+            return -_logdet_posdef(A)
 
         hh = 1e-4
         mixed = (

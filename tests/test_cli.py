@@ -128,6 +128,27 @@ def test_non_finite_graph_exit_two(tmp_path, capsys, doc):
     assert err.startswith("error: non-finite") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["green", "p2.json", "--chi", "notjson"],
+        ["green", "p2.json", "--chi", '{"q": 1}'],
+        ["green", "p2.json", "--chi", '{"x": NaN}'],
+        ["wilson", "k4_rooted.json", "--root", "q"],
+        ["zeta", "cube.json", "--u-grid", "abc"],
+        ["sample", "p2.json", "--alpha", "nan"],
+        ["sample", "p2.json", "--k-cap", "1"],
+        ["verify", "energy_variation", "--graph", "p2.json", "--alpha", "nan", "-n", "10"],
+    ],
+)
+def test_bad_argument_exit_two(fixture_dir, capsys, argv):
+    argv = [str(fixture_dir / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense-command"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import loopsoup as ls
-from loopsoup.exact import _logdet_posdef, hitting_kernel
+from loopsoup.exact import _logdet_posdef, _omega_matrix, hitting_kernel
 from loopsoup.graph import GraphError
 
 from conftest import random_energy_form
@@ -152,3 +152,76 @@ def test_green_of_unvalidated_nan_form_raises():
     e = ls.EnergyForm(["x", "y"], [[0, 1], [1, 0]], [float("nan"), 1.0], validate=False)
     with pytest.raises(GraphError):
         ls.green(e)
+
+
+def _singular_form():
+    # transient, but the a-b component is never killed: M_lambda - C is singular
+    C = np.zeros((3, 3))
+    C[0, 1] = C[1, 0] = 1.0
+    return ls.EnergyForm(["a", "b", "c"], C, [0.0, 0.0, 1.0], require_connected=False)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        ls.green,
+        ls.mu_nontrivial_total,
+        ls.PointedLoopSampler,
+        lambda e: ls.sample_gff(e, ls.RngStream(0)),
+        lambda e: ls.sample_bridge(e, "a", "b", ls.RngStream(0)),
+        lambda e: ls.twisted_green(e, {("a", "b"): 0.5}),
+    ],
+    ids=["green", "mu_nontrivial_total", "PointedLoopSampler", "sample_gff", "sample_bridge", "twisted_green"],
+)
+def test_singular_form_raises_graph_error(call):
+    e = _singular_form()
+    assert e.transient
+    with pytest.raises(GraphError):
+        call(e)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_green_chi_rejects_non_finite(p2, bad):
+    with pytest.raises(GraphError, match="finite"):
+        ls.green_chi(p2, np.array([bad, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_twisted_green_rejects_non_finite_one_form(k4c1, bad):
+    with pytest.raises(GraphError, match="finite"):
+        ls.twisted_green(k4c1, {("a", "b"): bad})
+    W = np.zeros((4, 4))
+    W[0, 1], W[1, 0] = bad, -bad
+    with pytest.raises(GraphError, match="finite"):
+        ls.twisted_green(k4c1, W)
+
+
+def test_partition_ratio_rejects_non_finite_one_form(p2):
+    with pytest.raises(GraphError):
+        ls.partition_ratio(p2, p2, {("x", "y"): np.nan})
+
+
+def test_partition_ratio_rejects_non_finite_alpha(p2):
+    with pytest.raises(GraphError):
+        ls.partition_ratio(p2, p2, None, np.nan)
+
+
+def test_one_form_unknown_vertex_rejected(k4c1):
+    with pytest.raises(GraphError, match="unknown vertex 'q'"):
+        ls.twisted_green(k4c1, {("a", "q"): 0.3})
+
+
+def test_twisted_log_z_matches_loop_enumeration(k4c1):
+    # log(Z_omega / Z) = mu(e^{i omega(l)} - 1); |e^{i theta} - 1| <= 2, so the
+    # loops longer than 10 move the sum by at most twice the tail bound.
+    # The triangle a -> b -> c -> a has holonomy 3.1, close to pi.
+    omega = {("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "a"): 1.1, ("a", "d"): 0.5, ("d", "b"): 1.3}
+    W = _omega_matrix(k4c1, omega)
+    loops, tail = ls.enumerate_loops(k4c1, 10)
+    total = 0j
+    for loop, mass in loops:
+        idx = k4c1.indices(loop.vertices)
+        total += mass * (np.exp(1j * W[idx, np.roll(idx, -1)].sum()) - 1)
+    _, log_Z = ls.twisted_green(k4c1, omega)
+    assert log_Z.imag == 0
+    assert abs(total - (log_Z - ls.green(k4c1).logdet_G)) <= 2 * tail

@@ -154,3 +154,9 @@ def test_random_forms_satisfy_lambda_symmetry():
         e = random_energy_form(rng)
         lhs = e.lam[:, None] * e.P
         assert np.allclose(lhs, lhs.T, atol=1e-12)
+
+
+def test_duplicate_edge_rejected_after_zero_weight_copy():
+    doc = {"vertices": ["x", "y"], "edges": [["x", "y", 0], ["y", "x", 1]], "killing": {"x": 1}}
+    with pytest.raises(GraphError, match="duplicate edge"):
+        ls.load_energy_form(doc)

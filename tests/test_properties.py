@@ -83,6 +83,23 @@ def test_resolvent_identity(e):
     assert np.allclose(G - Gchi, G @ np.diag(chi) @ Gchi, atol=1e-9)
 
 
+@given(_energy_forms(), st.lists(st.floats(-math.pi, math.pi), min_size=6, max_size=6))
+@settings(**COMMON)
+def test_twisted_partition_function_is_real(e, upper):
+    # A = M_lambda - C e^{i omega} is Hermitian positive definite, so log Z
+    # is real, and |Z_omega| <= Z because Re(e^{i theta} - 1) <= 0
+    W = np.zeros((e.n, e.n))
+    W[np.triu_indices(e.n, 1)] = upper
+    W = (W - W.T) * (e.C > 0)
+    G_omega, log_Z = ls.twisted_green(e, W)
+    assert log_Z.imag == 0
+    assert log_Z.real <= ls.green(e).logdet_G + 1e-12
+    A = np.diag(e.lam) - e.C * np.exp(1j * W)
+    assert np.allclose(A @ G_omega, np.eye(e.n), atol=1e-9)
+    ratio = ls.partition_ratio(e, e, W)
+    assert ratio.imag == 0 and 0 < ratio.real <= 1 + 1e-12
+
+
 @given(_energy_forms())
 @settings(**COMMON)
 def test_hitting_kernel_reproduces_green(e):

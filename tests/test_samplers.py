@@ -183,3 +183,15 @@ def test_wilson_erased_soup_network(k4c1):
 def test_wilson_requires_root_when_recurrent(k4_rooted):
     with pytest.raises(GraphError):
         ls.wilson_sample(k4_rooted, ls.RngStream(0))
+
+
+@pytest.mark.parametrize("k_cap", [0, 1])
+def test_k_cap_below_two_rejected(p2, k_cap):
+    with pytest.raises(GraphError, match="k_cap"):
+        ls.PointedLoopSampler(p2, k_cap=k_cap)
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_soup_rejects_non_finite_alpha(p2, alpha):
+    with pytest.raises(GraphError, match="alpha"):
+        ls.sample_loop_soup(p2, alpha, ls.RngStream(0))
