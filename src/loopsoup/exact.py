@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, restrict
+from .graph import GraphError, _inv, restrict
 
 __all__ = [
     "GreenBundle",
@@ -94,7 +94,7 @@ def green_chi(e, chi):
         raise GraphError("chi must be nonnegative")
     if not e.transient and not np.any(chi > 0):
         raise GraphError("recurrent chain needs a nonzero chi")
-    return np.linalg.inv(e.laplacian() + np.diag(chi))
+    return _inv(e.laplacian() + np.diag(chi), "energy matrix is singular: some component is never killed")
 
 
 def recurrent_green(e, nu):
@@ -128,7 +128,7 @@ def _green_matrix_for_edges(e, root):
         raise GraphError(f"unknown root {root!r}")
     idx = e.indices(keep)
     G = np.zeros((e.n, e.n))
-    G[np.ix_(idx, idx)] = np.linalg.inv(restrict(e, keep).laplacian())
+    G[np.ix_(idx, idx)] = _inv(restrict(e, keep).laplacian(), "some component never reaches the root")
     return G
 
 
@@ -164,7 +164,7 @@ def hitting_kernel(e, F):
     H[idxF, np.arange(len(F))] = 1.0
     if comp.size:
         eD = restrict(e, [e.vertices[i] for i in comp])
-        GD = np.linalg.inv(eD.laplacian())
+        GD = _inv(eD.laplacian())
         H[comp, :] = GD @ e.C[np.ix_(comp, idxF)]
     return H
 

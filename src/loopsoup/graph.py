@@ -29,6 +29,14 @@ class GraphError(ValueError):
     """Invalid graph data or operation precondition."""
 
 
+def _inv(A, message="restricted energy matrix is singular: some component is never killed"):
+    """np.linalg.inv(A), raising GraphError(message) when A is singular."""
+    try:
+        return np.linalg.inv(A)
+    except np.linalg.LinAlgError as err:
+        raise GraphError(message) from err
+
+
 class EnergyForm:
     """Immutable energy form: vertices, conductances C, killing kappa.
 
@@ -220,7 +228,7 @@ def trace_on(e, F):
     eD = restrict(e, [e.vertices[i] for i in comp])
     if not eD.transient:
         raise GraphError("restriction to the complement must be transient")
-    GD = np.linalg.inv(eD.laplacian())
+    GD = _inv(eD.laplacian())
     B = e.C[np.ix_(idx, comp)]  # C_{x,a}, x in F, a in D
     excursions = B @ GD @ B.T
     C = e.C[np.ix_(idx, idx)] + excursions

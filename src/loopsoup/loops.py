@@ -265,6 +265,8 @@ def mu_hit_avoid(e, hit, avoid=(), alpha=1.0):
         raise GraphError("hit and avoid sets overlap")
     if len(hit) > HIT_GUARD:
         raise GraphError(f"hit set size {len(hit)} exceeds guard {HIT_GUARD}")
+    if not np.isfinite(alpha):
+        raise GraphError("alpha must be finite")
     e.indices(hit), e.indices(avoid)
     universe = [v for v in e.vertices if v not in set(avoid)]
     mass = 0.0

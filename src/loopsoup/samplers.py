@@ -8,9 +8,13 @@ Every step of a chain (loop, bridge or walk) is an inverse-CDF lookup: one
 gen.random() and a binary search in a cumulative table.  The tables are
 normalised as Generator.choice normalises its own, so a step consumes the
 same draw and returns the same index as gen.choice(n, p=row), draw for
-draw.  Tables are built once per sampler, bridge row or Wilson call; only
-the pointed-loop step conditioned on the loop's base point and length is
-built at each step.
+draw.  Tables are built once per sampler or bridge row, and the walk table
+of Wilson's algorithm once per energy form; only the pointed-loop step
+conditioned on the loop's base point and length is built at each step.
+
+The free field needs no Green matrix: with M_lambda - C = R R^T (Cholesky),
+phi = R^{-T} z for z standard normal has covariance
+R^{-T} R^{-1} = (M_lambda - C)^{-1} = G.
 
 Soup statistics are sums over loop positions: the occupation field, the
 visit counts N_x and the oriented traversal counts N_{x,y} of an ensemble
@@ -18,14 +22,17 @@ visit counts N_x and the oriented traversal counts N_{x,y} of an ensemble
 np.add.at or np.bincount over the flat arrays of _positions.
 """
 
+import weakref
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 from scipy.special import eval_hermitenorm, exp1
 
-from .exact import green
-from .graph import GraphError
+from .graph import GraphError, _inv
 from .loops import PointedLoop, mu_nontrivial_total, spectral_radius
 from .rng import as_generator
 
@@ -157,10 +164,27 @@ def _sparse_cdfs(M):
     return cdf, column.tolist()
 
 
+_STEP_TABLES = weakref.WeakKeyDictionary()
+
+
 def _step_table(e):
     """Jump law of the chain as _sparse_cdfs rows of [P | kappa/lambda]:
-    column n is the cemetery."""
-    return _sparse_cdfs(np.hstack([e.P, (e.kappa / e.lam)[:, None]]))
+    column n is the cemetery.
+
+    Built once per form (its C, kappa, lambda and P are read-only), after
+    checking that every walk ends: on a transient form each component
+    holds a killed vertex, and a recurrent form (walked to a root) is
+    connected.
+    """
+    table = _STEP_TABLES.get(e)
+    if table is None:
+        n_comp, labels = connected_components(csr_array(e.C), directed=False)
+        if e.transient and np.unique(labels[e.kappa > 0]).size < n_comp:
+            raise GraphError("some component is never killed: its walks never end")
+        if not e.transient and n_comp > 1:
+            raise GraphError("recurrent chain is disconnected: some walks never reach the root")
+        table = _STEP_TABLES[e] = _sparse_cdfs(np.hstack([e.P, (e.kappa / e.lam)[:, None]]))
+    return table
 
 
 class PointedLoopSampler:
@@ -286,10 +310,7 @@ def sample_bridge(e, x, y, rng, max_steps=10**7):
         raise GraphError("bridge sampling requires a transient chain")
     gen = as_generator(rng)
     i, j = e.index[x], e.index[y]
-    try:
-        V = np.linalg.inv(np.eye(e.n) - e.P)
-    except np.linalg.LinAlgError as err:
-        raise GraphError("I - P is singular: some component is never killed") from err
+    V = _inv(np.eye(e.n) - e.P, "I - P is singular: some component is never killed")
     if V[i, j] <= 0:
         raise GraphError(f"{y!r} unreachable from {x!r}")
     cdfs = {}  # row u of the h-transformed step law, built on first visit
@@ -312,16 +333,29 @@ def sample_bridge(e, x, y, rng, max_steps=10**7):
 
 def sample_gff(e, rng, complex_field=False):
     """Gaussian free field with covariance G (E[phi phi-bar] = 2G in the
-    complex case)."""
+    complex case).
+
+    phi = R^{-T} z, with R R^T = M_lambda - C the Cholesky factorisation
+    of the energy matrix and z standard normal: one factor per call and
+    one triangular solve per real part.  G is never formed.
+    """
+    if not e.transient:
+        raise GraphError("Green function requires a transient chain (some killing)")
     gen = as_generator(rng)
-    G = green(e).G
     try:
-        Lf = np.linalg.cholesky(G)
+        R = np.linalg.cholesky(e.laplacian())
     except np.linalg.LinAlgError as err:
-        raise GraphError("Green matrix is not numerically positive definite") from err
-    phi = Lf @ gen.standard_normal(e.n)
+        raise GraphError("energy matrix is not numerically positive definite") from err
+    # a NaN or inf in row i of R reaches R_ii = sqrt(A_ii - sum_j R_ij^2)
+    if not np.isfinite(np.diagonal(R)).all():
+        raise GraphError("energy matrix is not finite")
+
+    def solve(z):
+        return solve_triangular(R, z, lower=True, trans="T", check_finite=False)
+
+    phi = solve(gen.standard_normal(e.n))
     if complex_field:
-        phi = phi + 1j * (Lf @ gen.standard_normal(e.n))
+        phi = phi + 1j * solve(gen.standard_normal(e.n))
     return FieldSample(e.vertices, phi, complex_field)
 
 

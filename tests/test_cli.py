@@ -139,6 +139,7 @@ def test_non_finite_graph_exit_two(tmp_path, capsys, doc):
         ["sample", "p2.json", "--alpha", "nan"],
         ["sample", "p2.json", "--k-cap", "1"],
         ["verify", "energy_variation", "--graph", "p2.json", "--alpha", "nan", "-n", "10"],
+        ["mu", "p2.json", "--set", "x", "--alpha", "nan"],
     ],
 )
 def test_bad_argument_exit_two(fixture_dir, capsys, argv):

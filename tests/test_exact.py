@@ -170,14 +170,44 @@ def _singular_form():
         lambda e: ls.sample_gff(e, ls.RngStream(0)),
         lambda e: ls.sample_bridge(e, "a", "b", ls.RngStream(0)),
         lambda e: ls.twisted_green(e, {("a", "b"): 0.5}),
+        lambda e: ls.wilson_sample(e, ls.RngStream(0)),
+        lambda e: ls.green_chi(e, np.zeros(3)),
+        lambda e: ls.hitting_kernel(e, ["c"]),
+        lambda e: ls.capacity(e, ["c"]),
+        lambda e: ls.cross_hitting_series(e, ["c"], ["a"]),
     ],
-    ids=["green", "mu_nontrivial_total", "PointedLoopSampler", "sample_gff", "sample_bridge", "twisted_green"],
+    ids=[
+        "green", "mu_nontrivial_total", "PointedLoopSampler", "sample_gff", "sample_bridge", "twisted_green",
+        "wilson_sample", "green_chi", "hitting_kernel", "capacity", "cross_hitting_series",
+    ],
 )
 def test_singular_form_raises_graph_error(call):
     e = _singular_form()
     assert e.transient
     with pytest.raises(GraphError):
         call(e)
+
+
+def _two_edges(kappa):
+    # edges a-b and c-d only, so killing at d alone leaves a-b unkilled
+    C = np.zeros((4, 4))
+    C[0, 1] = C[1, 0] = C[2, 3] = C[3, 2] = 1.0
+    return ls.EnergyForm(["a", "b", "c", "d"], C, kappa, require_connected=False)
+
+
+def test_trace_on_singular_complement_raises_graph_error():
+    # the complement {a, b, c} is transient (c is killed through d), but
+    # the a-b component is not
+    with pytest.raises(GraphError, match="never killed"):
+        ls.trace_on(_two_edges([0.0, 0.0, 0.0, 1.0]), ["d"])
+
+
+def test_disconnected_recurrent_form_raises_graph_error():
+    e = _two_edges(np.zeros(4))
+    with pytest.raises(GraphError, match="root"):
+        ls.transfer_matrix(e, [("a", "b")], root="a")
+    with pytest.raises(GraphError, match="root"):
+        ls.wilson_sample(e, ls.RngStream(0), root="a")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -115,8 +115,8 @@ SAMPLERS = {
 GOLDEN = {
     ("bridge_k4c1", 0): "2cf04734ea1f85db9117263b20f9ac77cd6f070c81592c4e324a7cf2052a1803",
     ("bridge_k4c1", 1): "692d946f06299c4e78d6e06d471513f4a2914d17d008a42dc08c7216cd6dd149",
-    ("gff_p2", 0): "f492b363faf403045c0fa0fe3080bc82d4b54c63dfb6ca641c80c08eedd7c677",
-    ("gff_p2", 1): "196d215f8071290e11436290876a9aef281eac70485d7987a04bcf3a0e333f36",
+    ("gff_p2", 0): "595a407abd49be5cd108077a76278ab483b4001d4ad251c606f6c31ac19bc625",
+    ("gff_p2", 1): "1990bc0e487f978b40e9458ba856571ff612369c6dd57a01b1087c769b960449",
     ("loop_soup_p2", 0): "c95898e7dd2365d7d6e4258310b2b026d1cbf814df68f6988729943c693086ae",
     ("loop_soup_p2", 1): "e7f05e84cdb01de5f322745d8a3c3c542398e917eadca5d672c213029dd4901f",
     ("pointed_loop_k4c1", 0): "6b13584d4ecc33eb6cab707fd3fe46b7053649402a4bdfde2b5c6a85f9c55253",

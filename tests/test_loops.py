@@ -122,6 +122,12 @@ def test_hit_avoid_single_point(p2):
     assert mass == pytest.approx(ls.mu_nontrivial_total(p2), abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_hit_avoid_rejects_non_finite_alpha(p2, alpha):
+    with pytest.raises(GraphError, match="alpha"):
+        ls.mu_hit_avoid(p2, ["x"], [], alpha=alpha)
+
+
 def test_hit_avoid_additivity(k4c1):
     # mu(hits a) + mu(avoids a) partitions the total mass
     hit, _ = ls.mu_hit_avoid(k4c1, ["a"], [])

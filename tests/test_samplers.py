@@ -6,7 +6,7 @@ from scipy import stats
 
 import loopsoup as ls
 from loopsoup.graph import GraphError
-from loopsoup.samplers import _cdf, _draw, _sample_trivial_points, wick_power
+from loopsoup.samplers import _cdf, _draw, _sample_trivial_points, _step_table, wick_power
 
 
 def test_rng_stream_reproducible():
@@ -118,6 +118,49 @@ def test_complex_gff_covariance(p2):
     assert acc / n == pytest.approx(2 * ls.green(p2).G[0, 1], abs=0.05)
 
 
+def _killed_box(L, seed):
+    """L x L grid with U[0.5, 1.5] conductances, killed on the boundary."""
+    rng = np.random.default_rng(seed)
+    grid = np.arange(L * L).reshape(L, L)
+    C = np.zeros((L * L, L * L))
+    for a, b in [(grid[:, :-1], grid[:, 1:]), (grid[:-1, :], grid[1:, :])]:
+        w = rng.uniform(0.5, 1.5, size=a.size)
+        C[a.ravel(), b.ravel()] = C[b.ravel(), a.ravel()] = w
+    kappa = np.zeros(L * L)
+    kappa[np.unique(np.r_[grid[0], grid[-1], grid[:, 0], grid[:, -1]])] = rng.uniform(0.5, 1.5, 4 * L - 4)
+    return ls.EnergyForm([str(v) for v in range(L * L)], C, kappa)
+
+
+@pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("name", ["p2", "k4c1", "counterexample", "box8"])
+def test_gff_is_exact_linear_map_of_its_draws(name, complex_field):
+    # phi = F z for some fixed F: read the normal draws z from a twin stream,
+    # solve Phi = F Z over m >= n fields, and check F F^T = G (2G for the
+    # complex field).  Any exact factor passes; the next draws of both
+    # streams agreeing pins the number of draws a field consumes.
+    e = _killed_box(8, seed=5) if name == "box8" else ls.load_energy_form(ls.fixture(name))
+    m = 2 * e.n
+    rng, twin = ls.RngStream(21), ls.RngStream(21)
+    phi = np.array([ls.sample_gff(e, rng, complex_field).phi for _ in range(m)]).T
+    parts = [phi.real, phi.imag] if complex_field else [phi]
+    Z = np.array([[twin.generator.standard_normal(e.n) for _ in parts] for _ in range(m)])
+    cov = np.zeros((e.n, e.n))
+    for k, part in enumerate(parts):
+        F = np.linalg.lstsq(Z[:, k, :], part.T, rcond=None)[0].T
+        cov += F @ F.T
+    G = ls.green(e).G
+    assert np.linalg.norm(cov - len(parts) * G) <= 1e-10 * np.linalg.norm(G)
+    assert rng.generator.random() == twin.generator.random()
+
+
+def test_gff_rejects_recurrent_and_nan_forms(k4_rooted):
+    with pytest.raises(GraphError, match="transient"):
+        ls.sample_gff(k4_rooted, ls.RngStream(0))
+    nan_form = ls.EnergyForm(["x", "y"], [[0, 1], [1, 0]], [float("nan"), 1.0], validate=False)
+    with pytest.raises(GraphError):
+        ls.sample_gff(nan_form, ls.RngStream(0))
+
+
 def test_wick_power_orthogonality():
     # :phi^2: and :phi^3: against plain Hermite expectations under N(0, s)
     gen = np.random.default_rng(11)
@@ -178,6 +221,10 @@ def test_wilson_erased_soup_network(k4c1):
         occ += ens.occupation()
     G = ls.green(k4c1).G
     assert np.all(np.abs(occ / n - np.diag(G)) < 0.02)
+
+
+def test_wilson_step_table_built_once_per_form(k4c1):
+    assert _step_table(k4c1) is _step_table(k4c1)
 
 
 def test_wilson_requires_root_when_recurrent(k4_rooted):
