@@ -2,7 +2,8 @@
 matrices, hitting kernels, capacities and twisted partition functions.
 
 Everything here is a closed-form determinant or inverse of the energy
-matrix M_lambda - C; samplers and Monte Carlo checks live elsewhere.
+matrix M_lambda - C = R R^T, whose Cholesky factor R (_factor) is taken
+once per form; samplers and Monte Carlo checks live elsewhere.
 
 Every determinant here is real and positive, so _logdet_posdef is the one
 log-determinant.  For a transient chain and an antisymmetric one-form
@@ -11,9 +12,11 @@ omega, A = M_lambda - C e^{i omega} is Hermitian, and |x* (C e^{i omega}) x|
 definite, so log det A is real and has no branch to track.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotri
 
 from .graph import GraphError, _inv, restrict
 
@@ -71,13 +74,37 @@ def _logdet_posdef(A):
     return logdet
 
 
+_FACTORS = weakref.WeakKeyDictionary()
+
+
+def _factor(e):
+    """Read-only lower Cholesky factor R R^T = M_lambda - C of a transient
+    form, taken once per form; GraphError if there is none or it is not finite."""
+    R = _FACTORS.get(e)
+    if R is None:
+        if not e.transient:
+            raise GraphError("Green function requires a transient chain (some killing)")
+        try:
+            R = np.linalg.cholesky(e.laplacian())
+        except np.linalg.LinAlgError as err:
+            raise GraphError("energy matrix is not numerically positive definite") from err
+        # a NaN or inf in row i of R reaches R_ii = sqrt(A_ii - sum_j R_ij^2)
+        if not np.isfinite(np.diagonal(R)).all():
+            raise GraphError("energy matrix is not finite")
+        R.setflags(write=False)
+        _FACTORS[e] = R
+    return R
+
+
 def green(e):
-    """Green function G = (M_lambda - C)^{-1} of a transient chain."""
-    if not e.transient:
-        raise GraphError("Green function requires a transient chain (some killing)")
-    L = e.laplacian()
-    logdet_G = -_logdet_posdef(L)
-    G = np.linalg.inv(L)
+    """Green function G = (M_lambda - C)^{-1} of a transient chain, from its
+    Cholesky factor R: log det G = -2 sum log R_ii, and LAPACK potri fills
+    one triangle of G, mirrored into the other.  The caller owns G."""
+    R = _factor(e)
+    logdet_G = -2.0 * float(np.log(np.diagonal(R)).sum())
+    G = dpotri(R.T)[0].T  # potri on the upper factor R.T: G is C-ordered, lower triangle set
+    for j in range(e.n - 1):
+        G[j, j + 1 :] = G[j + 1 :, j]
     # log det(I-P) = log det(M_lambda - C) - sum log lambda
     logdet_IminusP = -logdet_G - float(np.log(e.lam).sum())
     return GreenBundle(e.vertices, G, logdet_G, logdet_IminusP)

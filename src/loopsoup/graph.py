@@ -7,6 +7,7 @@ sub-stochastic transition matrix P^x_y = C_{x,y}/lambda_x.  The chain is
 transient iff kappa is not identically zero.
 """
 
+import functools
 import itertools
 import json
 
@@ -40,8 +41,8 @@ def _inv(A, message="restricted energy matrix is singular: some component is nev
 class EnergyForm:
     """Immutable energy form: vertices, conductances C, killing kappa.
 
-    Derived attributes: lam (lambda vector), P (transition matrix),
-    transient flag, and an index map from vertex name to position.
+    Derived attributes: lam (lambda vector), P (transition matrix, built on
+    first use), transient flag, and an index map from vertex name to position.
     """
 
     def __init__(self, vertices, C, kappa, validate=True, require_connected=True):
@@ -93,11 +94,16 @@ class EnergyForm:
             raise GraphError(f"lambda overflows at vertex {bad!r}")
         if validate and require_connected and not _connected(self.C):
             raise GraphError("conductance graph is disconnected")
-        self.P = self.C / self.lam[:, None]
         self.lam.setflags(write=False)
-        self.P.setflags(write=False)
         self.transient = bool(np.any(self.kappa > 0))
         self.index = {v: i for i, v in enumerate(self.vertices)}
+
+    @functools.cached_property
+    def P(self):
+        """Read-only transition matrix P^x_y = C_{x,y}/lambda_x."""
+        P = self.C / self.lam[:, None]
+        P.setflags(write=False)
+        return P
 
     @property
     def n(self):

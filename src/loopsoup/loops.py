@@ -100,7 +100,8 @@ def mu_nontrivial_total(e):
     """mu(p > 1) = -log det(I - P) = log(det(G) prod lambda_x)."""
     if not e.transient:
         raise GraphError("total loop mass requires a transient chain")
-    return -green(e).logdet_IminusP
+    # the LU log-det, not the Cholesky one: verify_energy_variation differences it to 1e-12
+    return float(np.log(e.lam).sum()) - _logdet_posdef(e.laplacian())
 
 
 def spectral_radius(e):

@@ -14,7 +14,8 @@ conditioned on the loop's base point and length is built at each step.
 
 The free field needs no Green matrix: with M_lambda - C = R R^T (Cholesky),
 phi = R^{-T} z for z standard normal has covariance
-R^{-T} R^{-1} = (M_lambda - C)^{-1} = G.
+R^{-T} R^{-1} = (M_lambda - C)^{-1} = G.  R is taken once per form
+(exact._factor) and shared by every field and bridge drawn on it.
 
 Soup statistics are sums over loop positions: the occupation field, the
 visit counts N_x and the oriented traversal counts N_{x,y} of an ensemble
@@ -28,11 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrs
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 from scipy.special import eval_hermitenorm, exp1
 
-from .graph import GraphError, _inv
+from .exact import _factor
+from .graph import GraphError
 from .loops import PointedLoop, mu_nontrivial_total, spectral_radius
 from .rng import as_generator
 
@@ -125,9 +128,6 @@ class FieldSample:
     phi: np.ndarray
     complex_field: bool = False
 
-    def value(self, x):
-        return self.phi[self.vertices.index(x)]
-
 
 def _cdf(p):
     """Cumulative table of the probability vector p, normalised exactly as
@@ -183,7 +183,7 @@ def _step_table(e):
             raise GraphError("some component is never killed: its walks never end")
         if not e.transient and n_comp > 1:
             raise GraphError("recurrent chain is disconnected: some walks never reach the root")
-        table = _STEP_TABLES[e] = _sparse_cdfs(np.hstack([e.P, (e.kappa / e.lam)[:, None]]))
+        table = _STEP_TABLES[e] = _sparse_cdfs(np.hstack([e.C, e.kappa[:, None]]) / e.lam[:, None])
     return table
 
 
@@ -304,23 +304,26 @@ class BridgePath:
 
 def sample_bridge(e, x, y, rng, max_steps=10**7):
     """Bridge from x to y: at u, stop with probability delta_{u,y}/V^u_y,
-    else move to z with probability P^u_z V^z_y / V^u_y (V = (I-P)^{-1}).
+    else move to z with probability P^u_z V^z_y / V^u_y (V = (I-P)^{-1} =
+    G M_lambda: V_y = lambda_y G e_y is one solve with the Cholesky factor).
     Holding times exp(1)/lambda at every position including the last."""
     if not e.transient:
         raise GraphError("bridge sampling requires a transient chain")
     gen = as_generator(rng)
     i, j = e.index[x], e.index[y]
-    V = _inv(np.eye(e.n) - e.P, "I - P is singular: some component is never killed")
-    if V[i, j] <= 0:
+    Vj = np.zeros(e.n)
+    Vj[j] = e.lam[j]
+    Vj = dpotrs(_factor(e).T, Vj)[0]  # LAPACK potrs on the upper factor R.T, no copy of R
+    if Vj[i] <= 0:
         raise GraphError(f"{y!r} unreachable from {x!r}")
     cdfs = {}  # row u of the h-transformed step law, built on first visit
     seq = [i]
     for _ in range(max_steps):
         u = seq[-1]
-        if u == j and gen.random() < 1.0 / V[u, j]:
+        if u == j and gen.random() < 1.0 / Vj[u]:
             break
         if u not in cdfs:
-            w = e.P[u, :] * V[:, j]
+            w = e.P[u, :] * Vj
             cdfs[u] = _cdf(w / w.sum())
         seq.append(_draw(gen, cdfs[u]))
     else:
@@ -336,19 +339,12 @@ def sample_gff(e, rng, complex_field=False):
     complex case).
 
     phi = R^{-T} z, with R R^T = M_lambda - C the Cholesky factorisation
-    of the energy matrix and z standard normal: one factor per call and
-    one triangular solve per real part.  G is never formed.
+    of the energy matrix and z standard normal: one factor per form (the
+    memoised exact._factor) and one triangular solve per real part.  G is
+    never formed.
     """
-    if not e.transient:
-        raise GraphError("Green function requires a transient chain (some killing)")
+    R = _factor(e)
     gen = as_generator(rng)
-    try:
-        R = np.linalg.cholesky(e.laplacian())
-    except np.linalg.LinAlgError as err:
-        raise GraphError("energy matrix is not numerically positive definite") from err
-    # a NaN or inf in row i of R reaches R_ii = sqrt(A_ii - sum_j R_ij^2)
-    if not np.isfinite(np.diagonal(R)).all():
-        raise GraphError("energy matrix is not finite")
 
     def solve(z):
         return solve_triangular(R, z, lower=True, trans="T", check_finite=False)

@@ -324,32 +324,16 @@ def enumerate_spanning_trees(e, root=None):
     trees = []
     index_of = {v: i for i, v in enumerate(names)}
     for combo in itertools.product(*choosers):
-        parent_idx = [c[0] for c in combo]
-        # acyclicity: every vertex must reach the root (None)
-        ok = True
-        for i in range(len(names)):
-            seen = set()
-            j = i
-            while j is not None:
-                if j in seen:
-                    ok = False
-                    break
-                seen.add(j)
-                nxt = parent_idx[j]
-                if nxt is None:
-                    j = None
-                else:
-                    # map absolute vertex index back into the chooser list
-                    j = index_of[e.vertices[nxt]] if e.vertices[nxt] in index_of else None
-            if not ok:
-                break
-        if not ok:
+        # chooser positions of the parents; the root (None) has none
+        parent_idx = [None if c[0] is None else index_of[e.vertices[c[0]]] for c in combo]
+        # acyclicity: len(names) parent steps take every vertex to the root
+        reach = list(range(len(names)))
+        for _ in names:
+            reach = [None if j is None else parent_idx[j] for j in reach]
+        if any(j is not None for j in reach):
             continue
         weight = float(np.prod([c[1] for c in combo]))
-        parent = {
-            names[i]: (e.vertices[parent_idx[i]] if parent_idx[i] is not None else (root if root is not None else None))
-            for i in range(len(names))
-        }
+        parent = {names[i]: root if j is None else names[j] for i, j in enumerate(parent_idx)}
         trees.append((parent, Z * weight))
     return trees
 
@@ -722,7 +706,8 @@ def verify_energy_variation(e, e2=None, omega=None, alpha=1.0, n_samples=0,
         report.add_stat("multiplicative functional (imag)", ratio.imag, mi, si)
     # derivative of the total loop mass in the killing rate
     x_idx = 0
-    exact_deriv = -(green(e).G[x_idx, x_idx] - 1.0 / e.lam[x_idx])
+    G = green(e).G
+    exact_deriv = -(G[x_idx, x_idx] - 1.0 / e.lam[x_idx])
     h = 1e-5
 
     def total_mass_with_kappa(delta):
@@ -770,7 +755,7 @@ def verify_energy_variation(e, e2=None, omega=None, alpha=1.0, n_samples=0,
             - logdet_gchi(-hh, hh)
             + logdet_gchi(-hh, -hh)
         ) / (4 * hh * hh)
-        exact = green(e).G[x_idx, y_idx] ** 2
+        exact = G[x_idx, y_idx] ** 2
         report.add_exact("Schwinger mu(l^x l^y) = (G^{xy})^2", exact, mixed, 1e-5)
     return report.finalize(t0)
 

@@ -44,3 +44,17 @@ def random_energy_form(rng, n=4, transient=True):
             return ls.EnergyForm([f"v{i}" for i in range(n)], C, kappa)
         except ls.GraphError:
             continue
+
+
+def killed_box(L, seed):
+    """L x L box of Z^2 with U[0.5, 1.5] conductances, killed on its
+    boundary (the edges that leave the box become killing)."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(L * L).reshape(L, L)
+    C = np.zeros((L * L, L * L))
+    for a, b in ((idx[:, :-1], idx[:, 1:]), (idx[:-1, :], idx[1:, :])):
+        C[a.ravel(), b.ravel()] = C[b.ravel(), a.ravel()] = rng.uniform(0.5, 1.5, size=a.size)
+    exits = np.zeros((L, L))
+    for side in (exits[0], exits[-1], exits[:, 0], exits[:, -1]):
+        side += rng.uniform(0.5, 1.5, size=L)
+    return ls.EnergyForm([str(i) for i in range(L * L)], C, exits.ravel())

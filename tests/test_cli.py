@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import loopsoup as ls
@@ -59,6 +60,21 @@ def test_gff(fixture_dir, capsys):
     assert code == 0
     doc = json.loads(out)
     assert set(doc["fields"][0]) == {"x", "y"}
+
+
+def test_gff_takes_one_factor(fixture_dir, capsys, monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(A):
+        calls.append(A.shape)
+        return cholesky(A)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    code, out, _ = run(capsys, "gff", str(fixture_dir / "k4c1.json"), "-n", "5", "--seed", "3")
+    assert code == 0
+    assert len(json.loads(out)["fields"]) == 5
+    assert calls == [(4, 4)]
 
 
 def test_zeta_trivial(fixture_dir, capsys):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import loopsoup as ls
-from loopsoup.exact import _logdet_posdef, _omega_matrix, hitting_kernel
+from loopsoup.exact import _factor, _logdet_posdef, _omega_matrix, hitting_kernel
 from loopsoup.graph import GraphError
 
-from conftest import random_energy_form
+from conftest import killed_box, random_energy_form
 
 
 def test_green_p2(p2):
@@ -27,6 +29,36 @@ def test_green_satisfies_g_kappa_equals_one(p2, k4c1):
     # kappa is the exit measure: G kappa = 1 on a transient chain
     for e in (p2, k4c1):
         assert np.allclose(ls.green(e).G @ e.kappa, 1.0, atol=1e-12)
+
+
+def test_factor_is_memoised_and_read_only(k4c1):
+    R = _factor(k4c1)
+    assert _factor(k4c1) is R
+    assert not R.flags.writeable
+    assert np.allclose(R @ R.T, k4c1.laplacian(), atol=1e-12)
+    with pytest.raises(ValueError):
+        R[0, 0] = 1.0
+
+
+_TRANSIENT_FIXTURES = sorted(
+    name for name in ls.FIXTURES if ls.load_energy_form(ls.fixture(name)).transient
+)
+
+
+@given(
+    st.sampled_from(_TRANSIENT_FIXTURES).map(lambda name: ls.load_energy_form(ls.fixture(name)))
+    | st.builds(killed_box, st.integers(1, 9), st.integers(0, 10**6))
+)
+@settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+def test_green_matches_inv_and_slogdet(e):
+    b = ls.green(e)
+    L = e.laplacian()
+    G = np.linalg.inv(L)
+    sign, logdet = np.linalg.slogdet(L)
+    assert sign == 1.0
+    assert np.abs(b.G - G).max() <= 1e-12 * np.abs(G).max()
+    assert np.array_equal(b.G, b.G.T)
+    assert abs(b.logdet_G + logdet) <= 1e-12 * abs(logdet)
 
 
 def test_green_chi_p2(p2):
@@ -145,6 +177,14 @@ def test_green_requires_transient(k4_rooted):
 def test_logdet_rejects_nan():
     with pytest.raises(GraphError):
         _logdet_posdef(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kappa", [[float("nan"), 1.0], [float("inf"), 1.0]])
+def test_factor_rejects_non_finite_form(kappa):
+    e = ls.EnergyForm(["x", "y"], [[0, 1], [1, 0]], kappa, validate=False)
+    with pytest.raises(GraphError):
+        _factor(e)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -123,14 +123,14 @@ GOLDEN = {
     ("pointed_loop_k4c1", 1): "7ee3659927e4c9199e4478f95937f52396ad8652705b210bc1942621e13fba97",
     ("soup_stats_k4c1", 0): "40e8f8a8ed4ea9c28ff2c53e153d80f92be77f507a6bb0a1220027ea21dfec04",
     ("soup_stats_k4c1", 1): "b817d324c16d32a0b51f77a69ce31e0e394dd04ddaeccc2576906df8b84daef0",
-    ("verify_dynkin_k4c1", 0): "c9bc15ade614db95f1a48f077d78f5a264d9cb2b7955ed318137cfa503a8fb76",
-    ("verify_dynkin_k4c1", 1): "bc3f2569a921deef50adad2af1a70eff4d5abc2fc49a78a42a96defae2dbdfa5",
-    ("verify_energy_variation_counterexample", 0): "76a988bc0690c3ebf1bc93972e20730be0c630d9729cb41ee3d15d2bbf619df9",
-    ("verify_energy_variation_counterexample", 1): "9536d1e011ea781b93e757b8e72a43ed2220cee93430a26e62fea87f5608c29b",
-    ("verify_loop_erasure_k4c1", 0): "76e8bfca23f6028e406cc8d8a739a0f6bbe69ad80b6d249d51aa3ac5958d97e3",
-    ("verify_loop_erasure_k4c1", 1): "b4d45d710569b7a7e40b7007ee19407dc7e3139f7408ad9ce6b4a1c00882e479",
-    ("verify_occupation_p2", 0): "4521a4a9e3bc8bf531397d71859771bf13703ef3d7d8a41bb0832129c1d7848d",
-    ("verify_occupation_p2", 1): "83585a23a5e7d0359fcc1650cb82c368a00fb74cd3e7bf9fd3a876d54d092376",
+    ("verify_dynkin_k4c1", 0): "7cdad647e55ebfbd4f5193f1484e90625a6239ae70cf0b3353ceb94202a2569f",
+    ("verify_dynkin_k4c1", 1): "695d28d90e80a9599250f50613e025a277259eb6ffb1d95f139b7a458b36291e",
+    ("verify_energy_variation_counterexample", 0): "c3968c9d0fa5543f36b902400d4ee2a131edd8b08a0bc0e89b6873269a4ed6f1",
+    ("verify_energy_variation_counterexample", 1): "8eacdb48630a51ec61863649481446973e4ce1b6b8bcd01753ecb9295a0259fe",
+    ("verify_loop_erasure_k4c1", 0): "a45a2b487959801f9ffd6a09d70dda7239226c9fa41396dda22bcdff7edfd67e",
+    ("verify_loop_erasure_k4c1", 1): "aaca7c11d987b8190233b511066cda8e5e8451a8c07a06ffdfab5e8ed95c7f86",
+    ("verify_occupation_p2", 0): "0b25b73a86b1b75c022ef1e51061ae96742d79e56f70131e0ac7043b5def471b",
+    ("verify_occupation_p2", 1): "3328d0d091fb98d3988e7c790a75f22f27e27f72a685f9e543e167a846437f73",
     ("verify_zeta_cube", 0): "3b96219d7b23ce82fa7cebd0843de1656e3a9380bfec466634c704f7fa56035a",
     ("verify_zeta_cube", 1): "bb66dcf618a8c8adc15d990fc40171f9d14cf73b19deabddf27fac87a32afd64",
     ("wilson_k4_rooted", 0): "0d8c39495b33e6ddf5b6e89f7adcb5938bba9ff216ef40bcb3c4d9fb1a47befb",

@@ -93,6 +93,14 @@ def test_lambda_symmetry(p2, k4c1):
         assert np.allclose(lhs, lhs.T, atol=1e-12)
 
 
+def test_transition_matrix_is_lazy_and_read_only(k4c1):
+    assert "P" not in vars(k4c1)
+    P = k4c1.P
+    assert k4c1.P is P
+    assert np.array_equal(P, k4c1.C / k4c1.lam[:, None])
+    assert not P.flags.writeable
+
+
 def test_transition_rows_sum_below_one(k4c1):
     assert np.all(k4c1.P.sum(axis=1) <= 1 + 1e-12)
     assert np.allclose(k4c1.P.sum(axis=1), 1 - k4c1.kappa / k4c1.lam)
