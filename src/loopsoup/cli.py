@@ -93,15 +93,17 @@ def cmd_sample(args):
     e = load_energy_form(args.graph)
     rng = RngStream(args.seed)
     summaries = []
+    # every soup of one form and cap shares one sampler, so one cap and one dropped mass
+    payload = {"alpha": args.alpha, "seed": args.seed, "k_cap": None, "dropped_mass": 0.0, "samples": summaries}
     for _ in range(args.samples):
         ens = sample_loop_soup(e, args.alpha, rng, k_cap=args.k_cap)
+        payload.update(k_cap=ens.k_cap, dropped_mass=ens.dropped_mass)
         summaries.append(
             {
                 "n_loops": len(ens.loops),
                 "occupation": dict(zip(e.vertices, ens.occupation().tolist())),
             }
         )
-    payload = {"alpha": args.alpha, "seed": args.seed, "samples": summaries}
     _emit(args, payload)
     return 0
 

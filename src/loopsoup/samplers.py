@@ -8,9 +8,12 @@ Every step of a chain (loop, bridge or walk) is an inverse-CDF lookup: one
 gen.random() and a binary search in a cumulative table.  The tables are
 normalised as Generator.choice normalises its own, so a step consumes the
 same draw and returns the same index as gen.choice(n, p=row), draw for
-draw.  Tables are built once per sampler or bridge row, and the walk table
-of Wilson's algorithm once per energy form; only the pointed-loop step
-conditioned on the loop's base point and length is built at each step.
+draw.  The pointed-loop sampler's length and base-point tables come from
+one eigendecomposition and are built once per (form, length cap), the
+walk table of Wilson's algorithm once per form and a bridge's rows once
+per bridge; only the pointed-loop step conditioned on the loop's base
+point and length is built at each step, from Krylov columns P^m e_base
+taken per loop.
 
 The free field needs no Green matrix: with M_lambda - C = R R^T (Cholesky),
 phi = R^{-T} z for z standard normal has covariance
@@ -36,7 +39,7 @@ from scipy.special import eval_hermitenorm, exp1
 
 from .exact import _factor
 from .graph import GraphError
-from .loops import PointedLoop, mu_nontrivial_total, spectral_radius
+from .loops import PointedLoop, mu_nontrivial_total
 from .rng import as_generator
 
 __all__ = [
@@ -57,13 +60,17 @@ __all__ = [
 @dataclass
 class LoopEnsemble:
     """A sampled loop soup: nontrivial pointed loops plus the aggregated
-    trivial-loop occupation per vertex."""
+    trivial-loop occupation per vertex.  A soup drawn by a
+    PointedLoopSampler carries its length cap k_cap and the mu mass
+    dropped_mass of the loops it leaves out (None and 0.0 otherwise)."""
 
     vertices: tuple
     alpha: float
     loops: list
     trivial: np.ndarray
     trivial_points: dict = field(default_factory=dict)
+    k_cap: int = None
+    dropped_mass: float = 0.0
 
     def occupation(self):
         """Occupation field L-hat over the vertex list."""
@@ -193,16 +200,34 @@ class PointedLoopSampler:
     Draws the length k with probability (Tr(P^k)/k) / mu(p>1), the base
     point proportionally to the diagonal of P^k, then the intermediate
     vertices by conditioned transitions; holding times are exp(1)/lambda.
+
+    The tables come from one eigendecomposition U diag(w) U^T of
+    S = M_lambda^{-1/2} C M_lambda^{-1/2}, which is similar to P: row k
+    of the (k_cap+1) x n base table is diag P^k = (U o U) w^k, its sum
+    is Tr P^k = sum_i w_i^k, and rho = max |w|.  Where P^k has a
+    structural zero (odd k on a bipartite graph) the eigen sum leaves
+    rounding noise, so every entry at or below 1e-10 (U o U) |w|^k is
+    set to 0.  The step from u at position i of a length-k loop weighs
+    P[u] * (P^{k-i})[:, base], a Krylov column built per loop by mat-vecs
+    from P[:, base]; mat-vecs keep the exact zeros of the powers.
+
+    dropped_mass is the mu mass left out: the tail sum_{k>k_cap}
+    sum_i w_i^k/k, summed term by term, plus the diagonal mass the floor
+    set to 0.  The sampler keeps P, lambda and the vertex names and holds
+    the form only weakly (e), so a memoised sampler never keeps it alive.
     """
 
     def __init__(self, e, k_cap=None):
         if not e.transient:
             raise GraphError("loop sampling requires a transient chain")
-        self.e = e
+        self._form = weakref.ref(e)
         self.total = mu_nontrivial_total(e)
         if self.total <= 0:
             raise GraphError("no nontrivial loops on this chain")
-        rho = spectral_radius(e)
+        w, U = np.linalg.eigh(e.C / np.sqrt(np.outer(e.lam, e.lam)))
+        rho = float(np.max(np.abs(w)))
+        if not rho < 1:
+            raise GraphError("loop sampling requires spectral radius below 1")
         if k_cap is None:
             k_cap = 8
             while e.n * rho ** (k_cap + 1) / ((k_cap + 1) * (1 - rho)) > 1e-12 * self.total:
@@ -212,37 +237,84 @@ class PointedLoopSampler:
         if k_cap < 2:
             raise GraphError("k_cap must be at least 2 (nontrivial loops have length >= 2)")
         self.k_cap = k_cap
-        self.powers = [np.eye(e.n), e.P.copy()]
-        for _ in range(2, k_cap + 1):
-            self.powers.append(self.powers[-1] @ e.P)
+        self.P, self.lam, self.vertices = e.P, e.lam, e.vertices
+        k = np.arange(k_cap + 1)
+        wk = w ** k[:, None]
+        UU = (U * U).T
+        diag = wk @ UU  # row k: diag P^k
+        floor = np.abs(wk, out=wk) @ UU
+        del wk
+        floor *= 1e-10
+        zeroed = diag <= floor
+        del floor
+        row = np.nonzero(zeroed)[0]
+        lost = np.abs(diag[zeroed])[row >= 2] / row[row >= 2]  # lengths 0 and 1 are not loops
+        diag[zeroed] = 0.0
+        trace = diag.sum(axis=1)
         probs = np.zeros(k_cap + 1)
-        for k in range(2, k_cap + 1):
-            probs[k] = np.trace(self.powers[k]) / k
+        probs[2:] = trace[2:] / k[2:]
         self.length_probs = probs / probs.sum()
         self._length_cdf = _cdf(self.length_probs)
+        self.dropped_mass = _tail_mass(w, k_cap) + float(lost.sum())
         # base point given the length k: proportional to the diagonal of P^k
-        self._base_cdfs = []
-        for Pk in self.powers:
-            diag = np.diag(Pk).copy()
-            self._base_cdfs.append(_cdf(diag / diag.sum()) if diag.sum() > 0 else None)
+        # (rows of zero trace are never drawn)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            diag /= trace[:, None]
+            self._base_cdf = np.cumsum(diag, axis=1, out=diag)
+            self._base_cdf /= self._base_cdf[:, -1:]
+
+    @property
+    def e(self):
+        """The energy form, while something else keeps it alive."""
+        return self._form()
 
     def sample(self, rng):
         gen = as_generator(rng)
         k = _draw(gen, self._length_cdf)
-        base = _draw(gen, self._base_cdfs[k])
+        base = _draw(gen, self._base_cdf[k])
+        P = self.P
+        cols = [None, P[:, base]]  # cols[m] = (P^m)[:, base]
+        for _ in range(2, k):
+            cols.append(P @ cols[-1])
         seq = [base]
         for i in range(1, k):
-            u = seq[-1]
-            w = self.e.P[u, :] * self.powers[k - i][:, base]
+            w = P[seq[-1]] * cols[k - i]
             seq.append(_draw(gen, _cdf(w / w.sum())))
-        taus = gen.standard_exponential(k) / self.e.lam[seq]
+        taus = gen.standard_exponential(k) / self.lam[seq]
         return PointedLoop(
-            tuple(self.e.vertices[i] for i in seq), tuple(float(t) for t in taus)
+            tuple(self.vertices[i] for i in seq), tuple(float(t) for t in taus)
         )
 
 
+def _tail_mass(w, k_cap, block=1024):
+    """sum_{k>k_cap} sum_i w_i^k/k for |w| < 1, summed term by term in
+    blocks of lengths until the geometric bound on what is left,
+    |w|^k/(k (1-|w|)), no longer moves the sum."""
+    a = np.abs(w)
+    total, k0 = 0.0, k_cap + 1
+    while True:
+        k = np.arange(k0, k0 + block)[:, None]
+        total += float((w**k / k).sum())
+        k0 += block
+        if (a**k0 / (k0 * (1 - a))).sum() <= 1e-17 * abs(total):
+            return total
+
+
+_SAMPLERS = weakref.WeakKeyDictionary()
+
+
+def _loop_sampler(e, k_cap=None):
+    """PointedLoopSampler of the form at this k_cap, built once per
+    (form, k_cap) and kept while the form lives."""
+    per_cap = _SAMPLERS.setdefault(e, {})
+    sampler = per_cap.get(k_cap)
+    if sampler is None:
+        sampler = per_cap[k_cap] = PointedLoopSampler(e, k_cap)
+    return sampler
+
+
 def sample_pointed_loop(e, rng, k_cap=None):
-    return PointedLoopSampler(e, k_cap).sample(rng)
+    return _loop_sampler(e, k_cap).sample(rng)
 
 
 def _sample_trivial_points(lam, alpha, gen, cutoff):
@@ -281,7 +353,7 @@ def sample_loop_soup(e, alpha, rng, k_cap=None, trivial_detail_vertex=None):
         raise GraphError("alpha must be finite and nonnegative")
     if alpha == 0:
         return LoopEnsemble(e.vertices, 0.0, [], np.zeros(e.n))
-    sampler = PointedLoopSampler(e, k_cap)
+    sampler = _loop_sampler(e, k_cap)
     n_loops = gen.poisson(alpha * sampler.total)
     loops = [sampler.sample(gen) for _ in range(n_loops)]
     trivial = np.array([gen.gamma(alpha, 1.0 / l) for l in e.lam])
@@ -291,7 +363,7 @@ def sample_loop_soup(e, alpha, rng, k_cap=None, trivial_detail_vertex=None):
         points = _sample_trivial_points(e.lam[i], alpha, gen, cutoff=1e-10 / e.lam[i])
         trivial[i] = points.sum()
         detail[trivial_detail_vertex] = points
-    return LoopEnsemble(e.vertices, alpha, loops, trivial, detail)
+    return LoopEnsemble(e.vertices, alpha, loops, trivial, detail, sampler.k_cap, sampler.dropped_mass)
 
 
 @dataclass

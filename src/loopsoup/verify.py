@@ -30,9 +30,9 @@ from .loops import (
 )
 from .rng import as_generator
 from .samplers import (
-    PointedLoopSampler,
     SpanningTree,
     _draw,
+    _loop_sampler,
     _positions,
     _step_table,
     loop_erase,
@@ -175,7 +175,7 @@ def _soup_occupations(e, alpha, gen, n_samples, need_trav=False):
     """Per-sample soup statistics of n_samples independent soups:
     occupation fields, visit counts and (optionally) oriented
     traversal-count matrices."""
-    sampler = PointedLoopSampler(e)
+    sampler = _loop_sampler(e)
     counts = gen.poisson(alpha * sampler.total, n_samples)
     occ = gen.gamma(alpha, 1.0 / e.lam, size=(n_samples, e.n))
     # count arrays first: allocated before the draws, they leave the lowest

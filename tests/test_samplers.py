@@ -1,12 +1,17 @@
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import killed_box
 from scipy import stats
 
 import loopsoup as ls
 from loopsoup.graph import GraphError
+from loopsoup.loops import PointedLoop
 from loopsoup.samplers import _cdf, _draw, _sample_trivial_points, _step_table, wick_power
+from loopsoup.verify import _soup_occupations
 
 
 def test_rng_stream_reproducible():
@@ -39,6 +44,125 @@ def test_loop_sampler_length_law(p2):
     assert probs[2] == pytest.approx((2 * 0.25 / 2) / np.log(4 / 3), rel=1e-9)
     assert probs[3] == 0.0
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class _PowerTableSampler:
+    """Reference pointed-loop sampler over the k_cap+1 dense powers of P:
+    lengths by Tr(P^k)/k, base points by diag P^k, steps by power columns."""
+
+    def __init__(self, e, k_cap):
+        self.e, self.powers = e, [np.eye(e.n), e.P.copy()]
+        for _ in range(2, k_cap + 1):
+            self.powers.append(self.powers[-1] @ e.P)
+        traces = np.array([np.trace(Pk) / max(k, 1) for k, Pk in enumerate(self.powers)])
+        traces[:2] = 0.0
+        self.length_probs = traces / traces.sum()
+        self.base_cdfs = [_cdf(np.diag(Pk) / np.diag(Pk).sum()) if t > 0 else None
+                          for Pk, t in zip(self.powers, traces)]
+
+    def sample(self, gen):
+        k = _draw(gen, _cdf(self.length_probs))
+        seq = [_draw(gen, self.base_cdfs[k])]
+        for i in range(1, k):
+            w = self.e.P[seq[-1]] * self.powers[k - i][:, seq[0]]
+            seq.append(_draw(gen, _cdf(w / w.sum())))
+        taus = gen.standard_exponential(k) / self.e.lam[seq]
+        return PointedLoop(tuple(self.e.vertices[i] for i in seq), tuple(float(t) for t in taus))
+
+
+TRANSIENT_FIXTURES = ["p2", "k4c1", "counterexample", "k3_wreath", "mirror_p2"]
+KILLED_BOXES = [(2, 0), (5, 1), (8, 2), (12, 3)]
+
+
+def _form(name):
+    if isinstance(name, tuple):
+        return killed_box(*name)
+    return ls.load_energy_form(ls.fixture(name))
+
+
+@pytest.mark.parametrize("name", TRANSIENT_FIXTURES + KILLED_BOXES, ids=str)
+def test_eigen_tables_match_the_power_table(name):
+    e = _form(name)
+    sampler = ls.PointedLoopSampler(e)
+    ref = _PowerTableSampler(e, sampler.k_cap)
+    # the same support, exact zeros included (odd lengths on bipartite forms)
+    assert np.array_equal(sampler.length_probs > 0, ref.length_probs > 0)
+    np.testing.assert_allclose(sampler.length_probs, ref.length_probs, rtol=1e-12, atol=0)
+    if isinstance(name, tuple):  # a box of Z^2 is bipartite
+        assert not sampler.length_probs[1::2].any()
+    for k in np.nonzero(ref.length_probs)[0]:
+        cdf, ref_cdf = sampler._base_cdf[k], ref.base_cdfs[k]
+        probs, ref_probs = np.diff(cdf, prepend=0.0), np.diag(ref.powers[k]) / np.trace(ref.powers[k])
+        assert np.array_equal(probs > 0, ref_probs > 0)
+        np.testing.assert_allclose(cdf, ref_cdf, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(probs, ref_probs, rtol=1e-12, atol=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("name", TRANSIENT_FIXTURES + KILLED_BOXES, ids=str)
+def test_eigen_sampler_draws_the_power_table_loops(name):
+    e = _form(name)
+    sampler = ls.PointedLoopSampler(e)
+    ref = _PowerTableSampler(e, sampler.k_cap)
+    gen, ref_gen = ls.RngStream(31).generator, ls.RngStream(31).generator
+    for _ in range(5000):
+        assert sampler.sample(gen) == ref.sample(ref_gen)
+    assert gen.random() == ref_gen.random()
+
+
+@pytest.mark.parametrize("L,chord", [(4, 1e-3), (6, 1e-3), (8, 1e-2)])
+def test_floor_keeps_small_odd_diagonals(L, chord):
+    # a weak chord makes the box's odd closed walks genuine but small next
+    # to the eigen scale (U o U) |w|^k: the floor must not zero them
+    box = killed_box(L, seed=7)
+    C = box.C.copy()
+    C[0, L + 1] = C[L + 1, 0] = chord
+    e = ls.EnergyForm(box.vertices, C, box.kappa)
+    sampler = ls.PointedLoopSampler(e)
+    ref = _PowerTableSampler(e, sampler.k_cap)
+    assert np.array_equal(sampler.length_probs > 0, ref.length_probs > 0)
+    assert sampler.length_probs[3::2].all()
+    for k in np.nonzero(ref.length_probs)[0]:
+        assert np.array_equal(np.diff(sampler._base_cdf[k], prepend=0.0) > 0, np.diag(ref.powers[k]) > 0)
+    gen, ref_gen = ls.RngStream(32).generator, ls.RngStream(32).generator
+    assert [sampler.sample(gen) for _ in range(2000)] == [ref.sample(ref_gen) for _ in range(2000)]
+
+
+@pytest.mark.parametrize("name,k_cap", [("p2", None), ("p2", 16), ("k4c1", None), ("k4c1", 64)])
+def test_dropped_mass_is_the_length_tail(name, k_cap):
+    e = _form(name)
+    sampler = ls.PointedLoopSampler(e, k_cap)
+    K = sampler.k_cap
+    brute = sum(np.trace(np.linalg.matrix_power(e.P, k)) / k for k in range(K + 1, 4 * K + 1))
+    assert sampler.dropped_mass == pytest.approx(brute, rel=1e-12, abs=0)
+    ens = ls.sample_loop_soup(e, 1.0, ls.RngStream(0), k_cap=k_cap)
+    assert (ens.k_cap, ens.dropped_mass) == (K, sampler.dropped_mass)
+
+
+def test_loop_sampler_is_memoised_per_form_and_cap(k4c1, monkeypatch):
+    built = []
+    init = ls.PointedLoopSampler.__init__
+
+    def counting_init(self, e, k_cap=None):
+        built.append(k_cap)
+        init(self, e, k_cap)
+
+    monkeypatch.setattr(ls.PointedLoopSampler, "__init__", counting_init)
+    ls.sample_loop_soup(k4c1, 1.0, ls.RngStream(0))
+    ls.sample_loop_soup(k4c1, 1.0, ls.RngStream(1))
+    _soup_occupations(k4c1, 1.0, ls.RngStream(2).generator, 10)
+    assert built == [None]
+    ls.sample_loop_soup(k4c1, 1.0, ls.RngStream(0), k_cap=32)
+    ls.sample_loop_soup(k4c1, 1.0, ls.RngStream(1), k_cap=32)
+    assert built == [None, 32]
+
+
+def test_memoised_loop_sampler_does_not_keep_its_form_alive():
+    e = killed_box(4, seed=0)
+    ls.sample_loop_soup(e, 1.0, ls.RngStream(0))
+    form = weakref.ref(e)
+    del e
+    gc.collect()
+    assert form() is None
 
 
 def test_soup_occupation_mean(p2):
@@ -118,19 +242,6 @@ def test_complex_gff_covariance(p2):
     assert acc / n == pytest.approx(2 * ls.green(p2).G[0, 1], abs=0.05)
 
 
-def _killed_box(L, seed):
-    """L x L grid with U[0.5, 1.5] conductances, killed on the boundary."""
-    rng = np.random.default_rng(seed)
-    grid = np.arange(L * L).reshape(L, L)
-    C = np.zeros((L * L, L * L))
-    for a, b in [(grid[:, :-1], grid[:, 1:]), (grid[:-1, :], grid[1:, :])]:
-        w = rng.uniform(0.5, 1.5, size=a.size)
-        C[a.ravel(), b.ravel()] = C[b.ravel(), a.ravel()] = w
-    kappa = np.zeros(L * L)
-    kappa[np.unique(np.r_[grid[0], grid[-1], grid[:, 0], grid[:, -1]])] = rng.uniform(0.5, 1.5, 4 * L - 4)
-    return ls.EnergyForm([str(v) for v in range(L * L)], C, kappa)
-
-
 @pytest.mark.parametrize("complex_field", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("name", ["p2", "k4c1", "counterexample", "box8"])
 def test_gff_is_exact_linear_map_of_its_draws(name, complex_field):
@@ -138,7 +249,7 @@ def test_gff_is_exact_linear_map_of_its_draws(name, complex_field):
     # solve Phi = F Z over m >= n fields, and check F F^T = G (2G for the
     # complex field).  Any exact factor passes; the next draws of both
     # streams agreeing pins the number of draws a field consumes.
-    e = _killed_box(8, seed=5) if name == "box8" else ls.load_energy_form(ls.fixture(name))
+    e = killed_box(8, seed=5) if name == "box8" else ls.load_energy_form(ls.fixture(name))
     m = 2 * e.n
     rng, twin = ls.RngStream(21), ls.RngStream(21)
     phi = np.array([ls.sample_gff(e, rng, complex_field).phi for _ in range(m)]).T
