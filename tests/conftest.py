@@ -1,4 +1,12 @@
-import numpy as np
+import os
+
+# One BLAS thread for the whole session, as perfbench/run.py sets it, before
+# numpy loads: LAPACK's potri and potrs return different last bits at
+# different thread counts, and the golden digests pin exact values bit for bit.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 import pytest
 
 import loopsoup as ls
