@@ -69,7 +69,7 @@ class LoopEnsemble:
     loops: list
     trivial: np.ndarray
     trivial_points: dict = field(default_factory=dict)
-    k_cap: int = None
+    k_cap: int | None = None
     dropped_mass: float = 0.0
 
     def occupation(self):
@@ -286,16 +286,16 @@ class PointedLoopSampler:
         )
 
 
-def _tail_mass(w, k_cap, block=1024):
+def _tail_mass(w, k_cap):
     """sum_{k>k_cap} sum_i w_i^k/k for |w| < 1, summed term by term in
     blocks of lengths until the geometric bound on what is left,
     |w|^k/(k (1-|w|)), no longer moves the sum."""
     a = np.abs(w)
     total, k0 = 0.0, k_cap + 1
     while True:
-        k = np.arange(k0, k0 + block)[:, None]
+        k = np.arange(k0, k0 + 1024)[:, None]
         total += float((w**k / k).sum())
-        k0 += block
+        k0 += 1024
         if (a**k0 / (k0 * (1 - a))).sum() <= 1e-17 * abs(total):
             return total
 
