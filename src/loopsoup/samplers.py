@@ -137,9 +137,9 @@ class FieldSample:
 
 
 def _cdf(p):
-    """Cumulative table of the probability vector p, normalised exactly as
+    """Cumulative table of the probability array p, normalised exactly as
     Generator.choice normalises its own."""
-    cdf = np.cumsum(p)
+    cdf = p.cumsum()  # the method: np.cumsum's dispatch costs more than a short sum
     cdf /= cdf[-1]
     return cdf
 
@@ -265,7 +265,7 @@ class PointedLoopSampler:
 
     @property
     def e(self):
-        """The energy form, while something else keeps it alive."""
+        """The energy form, held weakly: None once nothing else keeps it."""
         return self._form()
 
     def sample(self, rng):
@@ -282,7 +282,7 @@ class PointedLoopSampler:
             seq.append(_draw(gen, _cdf(w / w.sum())))
         taus = gen.standard_exponential(k) / self.lam[seq]
         return PointedLoop(
-            tuple(self.vertices[i] for i in seq), tuple(float(t) for t in taus)
+            tuple(self.vertices[i] for i in seq), tuple(taus.tolist())
         )
 
 
@@ -402,7 +402,7 @@ def sample_bridge(e, x, y, rng, max_steps=10**7):
         raise GraphError("bridge failed to terminate")
     taus = gen.standard_exponential(len(seq)) / e.lam[seq]
     return BridgePath(
-        tuple(e.vertices[k] for k in seq), tuple(float(t) for t in taus)
+        tuple(e.vertices[k] for k in seq), tuple(taus.tolist())
     )
 
 
