@@ -242,20 +242,17 @@ class PointedLoopSampler:
         wk = w ** k[:, None]
         UU = (U * U).T
         diag = wk @ UU  # row k: diag P^k
-        floor = np.abs(wk, out=wk) @ UU
+        scale = np.abs(wk, out=wk) @ UU
         del wk
-        floor *= 1e-10
-        zeroed = diag <= floor
-        del floor
-        row = np.nonzero(zeroed)[0]
-        lost = np.abs(diag[zeroed])[row >= 2] / row[row >= 2]  # lengths 0 and 1 are not loops
+        zeroed = diag <= 1e-10 * scale
+        lost = np.abs(diag, out=scale).sum(axis=1, where=zeroed)  # per length, the mass set to 0
         diag[zeroed] = 0.0
         trace = diag.sum(axis=1)
         probs = np.zeros(k_cap + 1)
         probs[2:] = trace[2:] / k[2:]
         self.length_probs = probs / probs.sum()
         self._length_cdf = _cdf(self.length_probs)
-        self.dropped_mass = _tail_mass(w, k_cap) + float(lost.sum())
+        self.dropped_mass = _tail_mass(w, k_cap) + float((lost[2:] / k[2:]).sum())
         # base point given the length k: proportional to the diagonal of P^k
         # (rows of zero trace are never drawn)
         with np.errstate(invalid="ignore", divide="ignore"):
