@@ -80,7 +80,7 @@ def cmd_mu(args):
         payload["avoid"] = args.set2 or []
         payload["mass"] = mass
         payload["no_such_loop_probability"] = prob
-    if args.k_cap:
+    if args.k_cap is not None:
         loops, tail = enumerate_loops(e, args.k_cap)
         payload["enumerated_loops"] = len(loops)
         payload["enumerated_mass"] = sum(m for _, m in loops)

@@ -111,6 +111,8 @@ def spectral_radius(e):
 
 
 def enumeration_tail_bound(e, k_max):
+    if k_max < 0:
+        raise GraphError(f"enumeration length {k_max} is negative")
     rho = spectral_radius(e)
     if rho >= 1:
         raise GraphError("tail bound needs a transient chain")
@@ -121,40 +123,35 @@ def enumerate_loops(e, k_max):
     """All discrete loops with 2 <= p <= k_max and their mu masses.
 
     Returns (list of (DiscreteLoop, mass), tail bound on the mass of
-    longer loops).  Each rotation class appears once; the DFS runs over
-    based walks whose base is their minimal vertex, and classes touched
-    more than once (when the minimal vertex is visited repeatedly) are
-    deduplicated through the canonical rotation.
+    longer loops), in lexicographic order of vertex indices.  Each rotation
+    class is one necklace w^r, w a Lyndon word, stored as its least
+    rotation.  The necklaces come from the Fredricksen-Kessler-Maiorana
+    prenecklace tree (Ruskey, Savage & Wang 1992) grown from each base
+    letter: a word a_1..a_t of period p takes a next letter b >= a_{t+1-p}
+    only when P[a_t, b] > 0, and keeps its period if b = a_{t+1-p}, else
+    its period becomes t + 1.  A word with p dividing t is a necklace and
+    is a loop when P[a_t, a_1] > 0.  Each node carries the product of P
+    along its prefix, so a loop's mass is that product times P[a_t, a_1],
+    divided by its multiplicity t / p.
     """
     if e.n > ENUM_VERTEX_GUARD or k_max > ENUM_K_GUARD:
         raise GraphError("enumeration guard exceeded")
+    tail = enumeration_tail_bound(e, k_max)
     P = e.P
-    found = {}
+    names = e.vertices
 
-    def dfs(base, prefix):
-        cur = prefix[-1]
-        for nxt in range(base, e.n):
-            if P[cur, nxt] <= 0:
-                continue
-            if nxt == base and len(prefix) >= 2:
-                canon, r = _canonical_rotation(tuple(prefix))
-                if canon not in found:
-                    mass = 1.0
-                    for i in range(len(prefix)):
-                        mass *= P[prefix[i], prefix[(i + 1) % len(prefix)]]
-                    found[canon] = mass / (len(prefix) // r)
-            if len(prefix) < k_max:
-                prefix.append(nxt)
-                dfs(base, prefix)
-                prefix.pop()
+    def necklaces(word, period, mass):
+        t, last = len(word), word[-1]
+        if t >= 2 and t % period == 0 and P[last, word[0]] > 0:
+            yield DiscreteLoop(tuple(names[i] for i in word)), mass * P[last, word[0]] / (t // period)
+        if t < k_max:
+            for nxt in range(word[t - period], e.n):
+                if P[last, nxt] > 0:
+                    grown = period if nxt == word[t - period] else t + 1
+                    yield from necklaces(word + (nxt,), grown, mass * P[last, nxt])
 
-    for base in range(e.n):
-        dfs(base, [base])
-    result = [
-        (DiscreteLoop(tuple(e.vertices[i] for i in canon)), mass)
-        for canon, mass in sorted(found.items())
-    ]
-    return result, enumeration_tail_bound(e, k_max)
+    loops = [item for base in range(e.n) for item in necklaces((base,), 1, 1.0)]
+    return loops, tail
 
 
 def _cycle_count(perm):

@@ -171,25 +171,22 @@ def _mean_se(values):
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 
 
-def _soup_occupations(e, alpha, gen, n_samples, need_trav=False):
+def _soup_occupations(e, alpha, gen, n_samples):
     """Per-sample soup statistics of n_samples independent soups:
-    occupation fields, visit counts and (optionally) oriented
-    traversal-count matrices."""
+    occupation fields, visit counts and the (sample, vertex, successor)
+    index arrays of every loop position, in sampling order."""
     sampler = _loop_sampler(e)
     counts = gen.poisson(alpha * sampler.total, n_samples)
     occ = gen.gamma(alpha, 1.0 / e.lam, size=(n_samples, e.n))
-    # count arrays first: allocated before the draws, they leave the lowest
+    # the count array first: allocated before the draws, it leaves the lowest
     # peak RSS when suites run repeatedly in one process
     visits = np.zeros((n_samples, e.n), dtype=np.int64)
-    trav = np.zeros((n_samples, e.n, e.n), dtype=np.int64) if need_trav else None
     loops = (sampler.sample(gen) for _ in range(counts.sum()))  # drawn in sample order
     vertex, successor, tau, lengths = _positions(e.vertices, loops)
     sample = np.repeat(np.repeat(np.arange(n_samples), counts), lengths)
     np.add.at(occ, (sample, vertex), tau)
     np.add.at(visits, (sample, vertex), 1)
-    if need_trav:
-        np.add.at(trav, (sample, vertex, successor), 1)
-    return occ, visits, trav
+    return occ, visits, (sample, vertex, successor)
 
 
 # ---------------------------------------------------------------------------
@@ -689,14 +686,14 @@ def verify_energy_variation(e, e2=None, omega=None, alpha=1.0, n_samples=0,
             occupation_laplace(e, alpha, chi), ratio.real, 1e-12,
         )
     if n_samples > 0:
-        occ, _, trav = _soup_occupations(e, alpha, gen, n_samples, need_trav=True)
+        occ, _, (sample, vertex, successor) = _soup_occupations(e, alpha, gen, n_samples)
         logR = np.zeros((e.n, e.n))
         mask = e.C > 0
         logR[mask] = np.log(e2.C[mask] / e.C[mask])
         dlam = e2.lam - e.lam
         exponent = (
-            np.tensordot(trav, logR, axes=([1, 2], [0, 1]))
-            + 1j * np.tensordot(trav, W, axes=([1, 2], [0, 1]))
+            np.bincount(sample, logR[vertex, successor], n_samples)
+            + 1j * np.bincount(sample, W[vertex, successor], n_samples)
             - occ @ dlam
         )
         vals = np.exp(exponent)

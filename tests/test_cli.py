@@ -40,6 +40,14 @@ def test_mu(fixture_dir, capsys):
     assert doc["no_such_loop_probability"] == pytest.approx(0.75)
 
 
+def test_mu_zero_k_cap_enumerates_nothing(fixture_dir, capsys):
+    code, out, _ = run(capsys, "mu", str(fixture_dir / "k4c1.json"), "--k-cap", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["enumerated_loops"] == 0 and doc["enumerated_mass"] == 0
+    assert doc["tail_bound"] >= 0
+
+
 def test_sample_seed_deterministic(fixture_dir, capsys):
     _, out1, _ = run(capsys, "sample", str(fixture_dir / "p2.json"), "-n", "3", "--seed", "5")
     _, out2, _ = run(capsys, "sample", str(fixture_dir / "p2.json"), "-n", "3", "--seed", "5")
@@ -156,6 +164,8 @@ def test_non_finite_graph_exit_two(tmp_path, capsys, doc):
         ["sample", "p2.json", "--k-cap", "1"],
         ["verify", "energy_variation", "--graph", "p2.json", "--alpha", "nan", "-n", "10"],
         ["mu", "p2.json", "--set", "x", "--alpha", "nan"],
+        ["mu", "k4c1.json", "--k-cap", "-1"],
+        ["mu", "k4c1.json", "--k-cap", "-3"],
     ],
 )
 def test_bad_argument_exit_two(fixture_dir, capsys, argv):

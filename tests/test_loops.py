@@ -5,7 +5,36 @@ import pytest
 
 import loopsoup as ls
 from loopsoup.graph import GraphError
-from loopsoup.loops import DiscreteLoop
+from loopsoup.loops import DiscreteLoop, _canonical_rotation
+
+
+def based_walk_loops(e, k_max):
+    """Reference enumerator: a DFS over the closed walks whose base is
+    their least vertex, each rotation class kept once through its
+    canonical rotation, in sorted order."""
+    P = e.P
+    found = {}
+
+    def dfs(base, prefix):
+        cur = prefix[-1]
+        for nxt in range(base, e.n):
+            if P[cur, nxt] <= 0:
+                continue
+            if nxt == base and len(prefix) >= 2:
+                canon, r = _canonical_rotation(tuple(prefix))
+                if canon not in found:
+                    mass = 1.0
+                    for i in range(len(prefix)):
+                        mass *= P[prefix[i], prefix[(i + 1) % len(prefix)]]
+                    found[canon] = mass / (len(prefix) // r)
+            if len(prefix) < k_max:
+                prefix.append(nxt)
+                dfs(base, prefix)
+                prefix.pop()
+
+    for base in range(e.n):
+        dfs(base, [base])
+    return [(DiscreteLoop(tuple(e.vertices[i] for i in canon)), mass) for canon, mass in sorted(found.items())]
 
 
 def test_mu_two_step(p2):
@@ -47,6 +76,28 @@ def test_enumeration_brackets_total(p2, k4c1):
         loops, tail = ls.enumerate_loops(e, 14)
         total = sum(mass for _, mass in loops)
         assert abs(total - ls.mu_nontrivial_total(e)) <= tail
+
+
+@pytest.mark.parametrize(
+    "name, k_max",
+    [(name, k) for name in ("p2", "v1", "k4c1", "k3_wreath", "mirror_p2") for k in range(11)]
+    + [("k4c1", 12)],
+)
+def test_enumeration_matches_based_walk_reference(name, k_max):
+    # same classes in the same order, masses equal bit for bit
+    e = ls.load_energy_form(ls.fixture(name))
+    loops, _ = ls.enumerate_loops(e, k_max)
+    assert loops == based_walk_loops(e, k_max)
+
+
+def test_enumeration_rejects_negative_length(p2, k3):
+    for k_max in (-1, -3):
+        with pytest.raises(GraphError, match="negative"):
+            ls.enumeration_tail_bound(p2, k_max)
+        with pytest.raises(GraphError, match="negative"):
+            ls.enumerate_loops(p2, k_max)
+        with pytest.raises(GraphError, match="negative"):
+            ls.wreath_identity_sum(k3, 2, k_max)
 
 
 def test_enumeration_masses_are_mu(k4c1):

@@ -13,6 +13,7 @@ from loopsoup.samplers import _cdf, _draw, _sparse_cdfs
 from loopsoup.verify import _soup_occupations
 
 from conftest import random_energy_form
+from test_loops import based_walk_loops
 
 
 def _energy_forms():
@@ -119,6 +120,7 @@ def test_enumeration_within_tail(e):
     loops, tail = ls.enumerate_loops(e, 10)
     total = sum(m for _, m in loops)
     assert abs(total - ls.mu_nontrivial_total(e)) <= tail + 1e-12
+    assert ls.enumerate_loops(e, 8)[0] == based_walk_loops(e, 8)
 
 
 @given(
@@ -256,7 +258,7 @@ def test_soup_occupations_without_loops_are_the_gamma_draws(seed, n_samples):
     counts = twin.poisson(alpha * ls.mu_nontrivial_total(e), n_samples)
     assume(not counts.any())
     gamma = twin.gamma(alpha, 1.0 / e.lam, size=(n_samples, e.n))
-    occ, visits, trav = _soup_occupations(e, alpha, ls.RngStream(seed).generator, n_samples, need_trav=True)
+    occ, visits, positions = _soup_occupations(e, alpha, ls.RngStream(seed).generator, n_samples)
     assert np.array_equal(occ, gamma)
-    assert not visits.any() and not trav.any()
-    assert visits.shape == (n_samples, e.n) and trav.shape == (n_samples, e.n, e.n)
+    assert not visits.any() and visits.shape == (n_samples, e.n)
+    assert all(len(index) == 0 for index in positions)

@@ -10,7 +10,7 @@ from scipy import stats
 import loopsoup as ls
 from loopsoup.graph import GraphError
 from loopsoup.loops import PointedLoop
-from loopsoup.samplers import _cdf, _draw, _sample_trivial_points, _step_table, wick_power
+from loopsoup.samplers import _cdf, _draw, _sample_trivial_points, _step_table, _tail_mass, wick_power
 from loopsoup.verify import _soup_occupations
 
 
@@ -130,6 +130,24 @@ def test_dropped_mass_is_the_length_tail(name, k_cap):
     assert sampler.dropped_mass == pytest.approx(brute, rel=1e-12, abs=0)
     ens = ls.sample_loop_soup(e, 1.0, ls.RngStream(0), k_cap=k_cap)
     assert (ens.k_cap, ens.dropped_mass) == (K, sampler.dropped_mass)
+
+
+def test_dropped_mass_counts_the_floored_diagonals():
+    # a chord of 1e-12 makes the box's odd closed walks genuine but below
+    # the floor: the diagonal mass it zeroes is dropped, next to the tail
+    box = killed_box(6, seed=7)
+    C = box.C.copy()
+    C[0, 7] = C[7, 0] = 1e-12
+    e = ls.EnergyForm(box.vertices, C, box.kappa)
+    sampler = ls.PointedLoopSampler(e)
+    ref = _PowerTableSampler(e, sampler.k_cap)
+    floored = 0.0
+    for k in range(2, sampler.k_cap + 1):
+        kept = np.diff(sampler._base_cdf[k], prepend=0.0) > 0
+        floored += np.diag(ref.powers[k])[~kept].sum() / k
+    w = np.linalg.eigh(e.C / np.sqrt(np.outer(e.lam, e.lam)))[0]
+    assert floored > 0
+    assert sampler.dropped_mass - _tail_mass(w, sampler.k_cap) == pytest.approx(floored, rel=0.05, abs=0)
 
 
 def test_loop_sampler_is_memoised_per_form_and_cap(k4c1, monkeypatch):

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 import loopsoup as ls
+from loopsoup.exact import _omega_matrix
 from loopsoup.graph import EnergyForm, GraphError
+from loopsoup.verify import _soup_occupations
 
 
 def _assert_all_pass(report):
@@ -77,6 +80,41 @@ def test_energy_variation_one_form(k4c1):
         k4c1, k4c1, omega=omega, alpha=1.0, n_samples=5000, rng=ls.RngStream(17)
     )
     _assert_all_pass(r)
+
+
+def test_energy_variation_exponent_matches_traversal_tensor(k4c1):
+    # the suite sums log(C'/C) and omega over loop positions; the same
+    # exponent through an (n_samples, n, n) traversal-count tensor
+    omega = {("a", "b"): 0.4, ("c", "d"): -0.3}
+    C2 = 0.6 * k4c1.C
+    C2[0, 1] = C2[1, 0] = 0.3 * k4c1.C[0, 1]
+    e2 = EnergyForm(k4c1.vertices, C2, k4c1.lam - C2.sum(axis=1) + 0.05)
+    n_samples, seed = 2000, 23
+    occ, _, (sample, vertex, successor) = _soup_occupations(k4c1, 1.0, ls.RngStream(seed).generator, n_samples)
+    trav = np.zeros((n_samples, k4c1.n, k4c1.n), dtype=np.int64)
+    np.add.at(trav, (sample, vertex, successor), 1)
+    mask = k4c1.C > 0
+    logR = np.zeros_like(C2)
+    logR[mask] = np.log(C2[mask] / k4c1.C[mask])
+    W = _omega_matrix(k4c1, omega)
+    dlam = e2.lam - k4c1.lam
+    by_tensor = (
+        np.tensordot(trav, logR, axes=([1, 2], [0, 1]))
+        + 1j * np.tensordot(trav, W, axes=([1, 2], [0, 1]))
+        - occ @ dlam
+    )
+    by_positions = (
+        np.bincount(sample, logR[vertex, successor], n_samples)
+        + 1j * np.bincount(sample, W[vertex, successor], n_samples)
+        - occ @ dlam
+    )
+    assert trav.sum() > n_samples and np.ptp(by_tensor.imag) > 0
+    assert np.allclose(by_positions, by_tensor, rtol=1e-12, atol=0)
+    r = ls.verify_energy_variation(k4c1, e2, omega=omega, n_samples=n_samples, rng=ls.RngStream(seed))
+    estimates = {c.name: c.estimate for c in r.checks if c.name.startswith("multiplicative functional")}
+    vals = np.exp(by_tensor)
+    assert estimates["multiplicative functional (real)"] == pytest.approx(vals.real.mean(), rel=1e-12, abs=0)
+    assert estimates["multiplicative functional (imag)"] == pytest.approx(vals.imag.mean(), rel=1e-9, abs=0)
 
 
 def test_energy_variation_rejects_bigger_conductance(p2):
