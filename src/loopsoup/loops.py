@@ -1,9 +1,11 @@
 """The loop measure mu and its Poissonized moments.
 
-Discrete loops are rotation classes of based closed walks.  The mass of a
-loop is the product of transition probabilities along one turn, divided
-by the multiplicity (the number of repetitions of its minimal period), so
-that summing over distinct loops gives sum_k Tr(P^k)/k = -log det(I-P).
+Discrete loops are rotation classes of based closed walks.  A loop holds
+its vertices as int indices into e.vertices; vertex names appear only in
+arguments that name a vertex.  The mass of a loop is the product of
+transition probabilities along one turn, divided by the multiplicity (the
+number of repetitions of its minimal period), so that summing over
+distinct loops gives sum_k Tr(P^k)/k = -log det(I-P).
 """
 
 import itertools
@@ -45,8 +47,8 @@ def _canonical_rotation(seq):
 
 @dataclass(frozen=True)
 class DiscreteLoop:
-    """Rotation class of a based closed walk, stored by its
-    lexicographically least rotation."""
+    """Rotation class of a based closed walk, stored as its least rotation
+    in vertex-index order; vertices are indices into e.vertices."""
 
     vertices: tuple
 
@@ -68,7 +70,8 @@ class DiscreteLoop:
 
 @dataclass(frozen=True)
 class PointedLoop:
-    """Discrete loop with rescaled holding times per position."""
+    """Discrete loop with rescaled holding times per position; vertices
+    are indices into e.vertices."""
 
     vertices: tuple
     taus: tuple
@@ -79,18 +82,19 @@ class PointedLoop:
 
 
 def mu_discrete(e, loop):
-    """mu mass of a discrete loop: product of P entries around the cycle
-    over the multiplicity of the representative."""
+    """mu mass of a discrete loop (a DiscreteLoop, or a list or tuple of
+    vertex names): product of P entries around the cycle over the
+    multiplicity of the representative."""
     if isinstance(loop, (list, tuple)):
-        loop = DiscreteLoop.from_sequence(loop)
+        loop = DiscreteLoop.from_sequence(e.indices(loop).tolist())
     if loop.p < 2:
         raise GraphError("trivial loops carry infinite mu mass")
-    idx = e.indices(loop.vertices)
+    idx = loop.vertices
     mass = 1.0
     for i in range(loop.p):
         step = e.P[idx[i], idx[(i + 1) % loop.p]]
         if step <= 0:
-            x, y = loop.vertices[i], loop.vertices[(i + 1) % loop.p]
+            x, y = e.vertices[idx[i]], e.vertices[idx[(i + 1) % loop.p]]
             raise GraphError(f"loop step ({x!r}, {y!r}) has zero conductance")
         mass *= step
     return mass / loop.multiplicity
@@ -137,18 +141,17 @@ def enumerate_loops(e, k_max):
     if e.n > ENUM_VERTEX_GUARD or k_max > ENUM_K_GUARD:
         raise GraphError("enumeration guard exceeded")
     tail = enumeration_tail_bound(e, k_max)
-    P = e.P
-    names = e.vertices
+    P = e.P.tolist()  # Python floats: the same products, without numpy's per-scalar cost
 
     def necklaces(word, period, mass):
-        t, last = len(word), word[-1]
-        if t >= 2 and t % period == 0 and P[last, word[0]] > 0:
-            yield DiscreteLoop(tuple(names[i] for i in word)), mass * P[last, word[0]] / (t // period)
+        t, row = len(word), P[word[-1]]
+        if t >= 2 and t % period == 0 and row[word[0]] > 0:
+            yield DiscreteLoop(word), mass * row[word[0]] / (t // period)
         if t < k_max:
             for nxt in range(word[t - period], e.n):
-                if P[last, nxt] > 0:
+                if row[nxt] > 0:
                     grown = period if nxt == word[t - period] else t + 1
-                    yield from necklaces(word + (nxt,), grown, mass * P[last, nxt])
+                    yield from necklaces(word + (nxt,), grown, mass * row[nxt])
 
     loops = [item for base in range(e.n) for item in necklaces((base,), 1, 1.0)]
     return loops, tail
@@ -315,11 +318,10 @@ def wreath_identity_sum(e, n_per_vertex, k_max):
     """prod n_x * sum over enumerated loops of mu(loop) prod_{x visited}
     1/n_x, an approximation (within the enumeration tail) of the total
     nontrivial loop mass of the wreath product chain."""
-    ns = {v: int(n_per_vertex[v]) if not isinstance(n_per_vertex, int) else n_per_vertex for v in e.vertices}
+    ns = [n_per_vertex if isinstance(n_per_vertex, int) else int(n_per_vertex[v]) for v in e.vertices]
     loops, tail = enumerate_loops(e, k_max)
-    prefactor = float(np.prod([ns[v] for v in e.vertices]))
+    prefactor = float(np.prod(ns))
     total = 0.0
     for loop, mass in loops:
-        visited = set(loop.vertices)
-        total += mass * float(np.prod([1.0 / ns[v] for v in visited]))
+        total += mass * float(np.prod([1.0 / ns[v] for v in set(loop.vertices)]))
     return prefactor * total, prefactor * tail

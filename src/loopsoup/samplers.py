@@ -59,10 +59,11 @@ __all__ = [
 
 @dataclass
 class LoopEnsemble:
-    """A sampled loop soup: nontrivial pointed loops plus the aggregated
-    trivial-loop occupation per vertex.  A soup drawn by a
-    PointedLoopSampler carries its length cap k_cap and the mu mass
-    dropped_mass of the loops it leaves out (None and 0.0 otherwise)."""
+    """A sampled loop soup: nontrivial pointed loops, whose vertices index
+    the vertex names, plus the aggregated trivial-loop occupation per
+    vertex.  A soup drawn by a PointedLoopSampler carries its length cap
+    k_cap and the mu mass dropped_mass of the loops it leaves out (None and
+    0.0 otherwise)."""
 
     vertices: tuple
     alpha: float
@@ -74,7 +75,7 @@ class LoopEnsemble:
 
     def occupation(self):
         """Occupation field L-hat over the vertex list."""
-        vertex, _, tau, _ = _positions(self.vertices, self.loops)
+        vertex, _, tau, _ = _positions(self.loops)
         occ = self.trivial.astype(float)
         np.add.at(occ, vertex, tau)
         return occ
@@ -82,26 +83,25 @@ class LoopEnsemble:
     def traversals(self):
         """Oriented-edge traversal counts N_{x,y} as a dense matrix."""
         n = len(self.vertices)
-        vertex, successor, _, _ = _positions(self.vertices, self.loops)
+        vertex, successor, _, _ = _positions(self.loops)
         return np.bincount(vertex * n + successor, minlength=n * n).reshape(n, n)
 
     def visit_counts(self):
         """Vertex visit counts N_x over nontrivial loops."""
-        vertex, _, _, _ = _positions(self.vertices, self.loops)
+        vertex, _, _, _ = _positions(self.loops)
         return np.bincount(vertex, minlength=len(self.vertices))
 
 
-def _positions(vertices, loops):
-    """Every position of an iterable of loops as flat arrays: the vertex
-    index, the index of the next vertex around the loop, the holding time,
-    plus each loop's length.  Positions run loop by loop in iteration
-    order, so np.add.at over them adds each cell's terms in sampling
-    order.  One pass over raw buffers: a generator of loops is never held
-    in memory as loop objects."""
-    index = {v: i for i, v in enumerate(vertices)}
+def _positions(loops):
+    """Every position of an iterable of loops as flat arrays: the vertex,
+    the next vertex around the loop, the holding time, plus each loop's
+    length.  Positions run loop by loop in iteration order, so np.add.at
+    over them adds each cell's terms in sampling order.  One pass over raw
+    buffers: a generator of loops is never held in memory as loop
+    objects."""
     vertex, successor, tau, lengths = array("q"), array("q"), array("d"), array("q")
     for loop in loops:
-        idx = [index[v] for v in loop.vertices]
+        idx = loop.vertices
         vertex.extend(idx)
         successor.extend(idx[1:] + idx[:1])
         tau.extend(loop.taus)
@@ -213,8 +213,8 @@ class PointedLoopSampler:
 
     dropped_mass is the mu mass left out: the tail sum_{k>k_cap}
     sum_i w_i^k/k, summed term by term, plus the diagonal mass the floor
-    set to 0.  The sampler keeps P, lambda and the vertex names and holds
-    the form only weakly (e), so a memoised sampler never keeps it alive.
+    set to 0.  The sampler keeps P and lambda and holds the form only
+    weakly (e), so a memoised sampler never keeps it alive.
     """
 
     def __init__(self, e, k_cap=None):
@@ -237,7 +237,7 @@ class PointedLoopSampler:
         if k_cap < 2:
             raise GraphError("k_cap must be at least 2 (nontrivial loops have length >= 2)")
         self.k_cap = k_cap
-        self.P, self.lam, self.vertices = e.P, e.lam, e.vertices
+        self.P, self.lam = e.P, e.lam
         k = np.arange(k_cap + 1)
         wk = w ** k[:, None]
         UU = (U * U).T
@@ -278,9 +278,7 @@ class PointedLoopSampler:
             w = P[seq[-1]] * cols[k - i]
             seq.append(_draw(gen, _cdf(w / w.sum())))
         taus = gen.standard_exponential(k) / self.lam[seq]
-        return PointedLoop(
-            tuple(self.vertices[i] for i in seq), tuple(taus.tolist())
-        )
+        return PointedLoop(tuple(seq), tuple(taus.tolist()))
 
 
 def _tail_mass(w, k_cap):
@@ -365,7 +363,8 @@ def sample_loop_soup(e, alpha, rng, k_cap=None, trivial_detail_vertex=None):
 
 @dataclass
 class BridgePath:
-    """Open path sampled from the normalized bridge measure mu^{x,y}/G^{x,y}."""
+    """Open path sampled from the normalized bridge measure mu^{x,y}/G^{x,y};
+    vertices are indices into e.vertices."""
 
     vertices: tuple
     taus: tuple
@@ -398,9 +397,7 @@ def sample_bridge(e, x, y, rng, max_steps=10**7):
     else:
         raise GraphError("bridge failed to terminate")
     taus = gen.standard_exponential(len(seq)) / e.lam[seq]
-    return BridgePath(
-        tuple(e.vertices[k] for k in seq), tuple(taus.tolist())
-    )
+    return BridgePath(tuple(seq), tuple(taus.tolist()))
 
 
 def sample_gff(e, rng, complex_field=False):
@@ -487,12 +484,7 @@ def wilson_sample(e, rng, vertex_order=None, root=None):
             if nxt in pos:
                 i = pos[nxt]
                 cycle = stack[i:]
-                erased.append(
-                    PointedLoop(
-                        tuple(e.vertices[v] for v, _ in cycle),
-                        tuple(t for _, t in cycle),
-                    )
-                )
+                erased.append(PointedLoop(tuple(v for v, _ in cycle), tuple(t for _, t in cycle)))
                 for v, _ in cycle:
                     del pos[v]
                 del stack[i:]

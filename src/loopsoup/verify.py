@@ -182,7 +182,7 @@ def _soup_occupations(e, alpha, gen, n_samples):
     # peak RSS when suites run repeatedly in one process
     visits = np.zeros((n_samples, e.n), dtype=np.int64)
     loops = (sampler.sample(gen) for _ in range(counts.sum()))  # drawn in sample order
-    vertex, successor, tau, lengths = _positions(e.vertices, loops)
+    vertex, successor, tau, lengths = _positions(loops)
     sample = np.repeat(np.repeat(np.arange(n_samples), counts), lengths)
     np.add.at(occ, (sample, vertex), tau)
     np.add.at(visits, (sample, vertex), 1)
@@ -336,14 +336,15 @@ def enumerate_spanning_trees(e, root=None):
 
 
 def self_avoiding_paths(e, x, y):
-    """All self-avoiding paths from x to y along positive conductances."""
+    """All self-avoiding paths from x to y along positive conductances, as
+    lists of vertex indices."""
     paths = []
     target = e.index[y]
 
     def dfs(path, seen):
         cur = path[-1]
         if cur == target:
-            paths.append([e.vertices[i] for i in path])
+            paths.append(list(path))
             return
         for nxt in np.nonzero(e.C[cur])[0]:
             if int(nxt) not in seen:
@@ -359,13 +360,13 @@ def self_avoiding_paths(e, x, y):
 
 def _erased_path_law(e, x, y):
     """Exact law of the loop-erased bridge: mass(eta) = prod C * det of the
-    Green submatrix over eta's vertices, normalized by G^{x,y}."""
+    Green submatrix over eta's vertices, normalized by G^{x,y}.  Paths are
+    keyed by their vertex indices."""
     G = green(e).G
     law = {}
     for path in self_avoiding_paths(e, x, y):
-        idx = e.indices(path)
-        mass = float(np.prod([e.C[idx[i], idx[i + 1]] for i in range(len(idx) - 1)]))
-        mass *= float(np.linalg.det(G[np.ix_(idx, idx)]))
+        mass = float(np.prod([e.C[path[i], path[i + 1]] for i in range(len(path) - 1)]))
+        mass *= float(np.linalg.det(G[np.ix_(path, path)]))
         law[tuple(path)] = mass
     total = sum(law.values())
     return law, total, float(G[e.index[x], e.index[y]])
@@ -433,7 +434,7 @@ def verify_dynkin(e, k=1, n_samples=0, rng=0, fixture="?"):
             for s in range(n_samples):
                 b = sample_bridge(e, x, y, gen)
                 # builtin sum adds term by term, in path order
-                bridge_f[s] = np.exp(-sum(chi[e.indices(b.vertices)] * b.taus))
+                bridge_f[s] = np.exp(-sum(chi[list(b.vertices)] * b.taus))
             rhs_vals = G[0, 1] * np.exp(-occ_half @ chi) * bridge_f
             m1, s1 = _mean_se(lhs_vals)
             m2, s2 = _mean_se(rhs_vals)
@@ -521,14 +522,15 @@ def verify_transfer_current(e, edge_sets=None, n_samples=0, rng=0, root=None,
 
 
 def _walk_to_absorption(e, table, start, gen, max_steps=10**7):
-    """Walk from start until killed; table is _step_table(e)."""
+    """Vertex indices of a walk from the index start until killed; table is
+    _step_table(e)."""
     cdf, column = table
-    path = [e.index[start]]
+    path = [start]
     for _ in range(max_steps):
         u = path[-1]
         nxt = column[u][_draw(gen, cdf[u])]
         if nxt == e.n:
-            return [e.vertices[i] for i in path]
+            return path
         path.append(nxt)
     raise GraphError("walk failed to reach absorption")
 
@@ -543,7 +545,7 @@ def verify_loop_erasure(e, x, y, n_samples=0, rng=0, fixture="?"):
     p_direct = e.kappa[i] * green(e).G[i, i]
     if n_samples > 0:
         counts = Counter(
-            tuple(loop_erase(list(sample_bridge(e, x, y, gen).vertices))) for _ in range(n_samples)
+            tuple(loop_erase(sample_bridge(e, x, y, gen).vertices)) for _ in range(n_samples)
         )
         tv = 0.5 * sum(
             abs(counts[path] / n_samples - mass / total)
@@ -555,7 +557,7 @@ def verify_loop_erasure(e, x, y, n_samples=0, rng=0, fixture="?"):
             residual=tv, tol=0.01,
         )
         table = _step_table(e)
-        hits = sum(loop_erase(_walk_to_absorption(e, table, x, gen)) == [x] for _ in range(n_samples))
+        hits = sum(loop_erase(_walk_to_absorption(e, table, i, gen)) == [i] for _ in range(n_samples))
         freq = hits / n_samples
         se = np.sqrt(p_direct * (1 - p_direct) / n_samples)
         report.add_stat("P(erased walk goes straight to cemetery)", p_direct, freq, se)
@@ -724,7 +726,7 @@ def verify_energy_variation(e, e2=None, omega=None, alpha=1.0, n_samples=0,
     if e.n <= 4:
         loops, tail = enumerate_loops(e, 12)
         enum = sum(
-            mass * loop.vertices.count(e.vertices[x_idx]) / e.lam[x_idx]
+            mass * loop.vertices.count(x_idx) / e.lam[x_idx]
             for loop, mass in loops
         )
         rho_b = spectral_radius(e)

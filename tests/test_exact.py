@@ -290,7 +290,7 @@ def test_twisted_log_z_matches_loop_enumeration(k4c1):
     loops, tail = ls.enumerate_loops(k4c1, 10)
     total = 0j
     for loop, mass in loops:
-        idx = k4c1.indices(loop.vertices)
+        idx = np.array(loop.vertices)
         total += mass * (np.exp(1j * W[idx, np.roll(idx, -1)].sum()) - 1)
     _, log_Z = ls.twisted_green(k4c1, omega)
     assert log_Z.imag == 0

@@ -20,13 +20,20 @@ def _form(name):
     return ls.load_energy_form(ls.fixture(name))
 
 
-def _loops(loops):
-    return [[loop.vertices, loop.taus] for loop in loops]
+def _named(e, path):
+    """A loop or bridge as [vertex names, holding times]: the digests were
+    pinned on names."""
+    return [[e.vertices[v] for v in path.vertices], path.taus]
+
+
+def _loops(e, loops):
+    return [_named(e, loop) for loop in loops]
 
 
 def _pointed_loop(rng):
-    sampler = ls.PointedLoopSampler(_form("k4c1"))
-    return _loops(sampler.sample(rng) for _ in range(50))
+    e = _form("k4c1")
+    sampler = ls.PointedLoopSampler(e)
+    return _loops(e, (sampler.sample(rng) for _ in range(50)))
 
 
 def _loop_soup(rng):
@@ -34,13 +41,13 @@ def _loop_soup(rng):
     out = []
     for _ in range(50):
         ens = ls.sample_loop_soup(e, 1.0, rng)
-        out.append([_loops(ens.loops), ens.trivial.tolist()])
+        out.append([_loops(e, ens.loops), ens.trivial.tolist()])
     return out
 
 
 def _bridge(rng):
     e = _form("k4c1")
-    return [[b.vertices, b.taus] for b in (ls.sample_bridge(e, "a", "b", rng) for _ in range(50))]
+    return [_named(e, ls.sample_bridge(e, "a", "b", rng)) for _ in range(50)]
 
 
 def _wilson(name, root):
@@ -49,7 +56,7 @@ def _wilson(name, root):
         out = []
         for _ in range(20):
             tree, ens = ls.wilson_sample(e, rng, root=root)
-            out.append([tree.key(), _loops(ens.loops), ens.trivial.tolist()])
+            out.append([tree.key(), _loops(e, ens.loops), ens.trivial.tolist()])
         return out
 
     return run
