@@ -90,6 +90,8 @@ def mu_discrete(e, loop):
     if loop.p < 2:
         raise GraphError("trivial loops carry infinite mu mass")
     idx = loop.vertices
+    if not set(idx) <= set(range(e.n)):
+        raise GraphError(f"loop vertices {idx!r} are not indices of the {e.n} vertices")
     mass = 1.0
     for i in range(loop.p):
         step = e.P[idx[i], idx[(i + 1) % loop.p]]

@@ -58,6 +58,14 @@ def test_mu_trivial_loop_rejected(p2):
         ls.mu_discrete(p2, ["x"])
 
 
+def test_mu_rejects_loops_that_are_not_vertex_indices(p2):
+    for bad in (DiscreteLoop((0, 5)), DiscreteLoop(("x", "y")), DiscreteLoop((-1, 0))):
+        with pytest.raises(GraphError, match="not indices"):
+            ls.mu_discrete(p2, bad)
+    with pytest.raises(GraphError, match="unknown vertex"):
+        ls.mu_discrete(p2, ["x", "q"])
+
+
 def test_discrete_loop_multiplicity():
     assert DiscreteLoop.from_sequence(["a", "b", "a", "b"]).multiplicity == 2
     assert DiscreteLoop.from_sequence(["a", "b", "c"]).multiplicity == 1
