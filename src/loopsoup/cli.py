@@ -26,7 +26,7 @@ from .verify import (
     verify_transfer_current,
     verify_zeta,
 )
-from .zeta import zeta_ihara
+from .zeta import _u_max, zeta_ihara
 
 SUITES = (
     "dynkin",
@@ -139,10 +139,9 @@ def cmd_gff(args):
 
 def cmd_zeta(args):
     e = load_energy_form(args.graph)
-    degrees = e.C.sum(axis=1)
-    u_hi = 1.0 / max(1.0, degrees.max() - 1.0)
+    u_max = _u_max(e)
     try:
-        grid = [float(u) for u in args.u_grid.split(",")] if args.u_grid else [0.2 * u_hi, 0.5 * u_hi]
+        grid = [float(u) for u in args.u_grid.split(",")] if args.u_grid else [0.2 * u_max, 0.5 * u_max]
     except ValueError:
         raise GraphError(f"--u-grid must be comma separated numbers, not {args.u_grid!r}") from None
     report = zeta_ihara(e, grid, args.m_max)

@@ -3,7 +3,10 @@ matrices, hitting kernels, capacities and twisted partition functions.
 
 Everything here is a closed-form determinant or inverse of the energy
 matrix M_lambda - C = R R^T, whose Cholesky factor R (_factor) is taken
-once per form; samplers and Monte Carlo checks live elsewhere.
+once per form; samplers and Monte Carlo checks live elsewhere.  Every Green
+function, of the form or of a derived chain (killed outside D, with chi
+added to its killing, or a recurrent chain killed at its root), is green()
+of that chain's EnergyForm, so it comes from that chain's factor.
 
 Every determinant here is real and positive, so _logdet_posdef is the one
 log-determinant.  For a transient chain and an antisymmetric one-form
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotri
 
-from .graph import GraphError, _inv, restrict
+from .graph import EnergyForm, GraphError, restrict
 
 __all__ = [
     "GreenBundle",
@@ -87,7 +90,7 @@ def _factor(e):
         try:
             R = np.linalg.cholesky(e.laplacian())
         except np.linalg.LinAlgError as err:
-            raise GraphError("energy matrix is not numerically positive definite") from err
+            raise GraphError("energy matrix is not numerically positive definite: some component is never killed") from err
         # a NaN or inf in row i of R reaches R_ii = sqrt(A_ii - sum_j R_ij^2)
         if not np.isfinite(np.diagonal(R)).all():
             raise GraphError("energy matrix is not finite")
@@ -121,13 +124,15 @@ def green_chi(e, chi):
         raise GraphError("chi must be nonnegative")
     if not e.transient and not np.any(chi > 0):
         raise GraphError("recurrent chain needs a nonzero chi")
-    return _inv(e.laplacian() + np.diag(chi), "energy matrix is singular: some component is never killed")
+    return green(EnergyForm(e.vertices, e.C, e.kappa + chi, validate=False)).G
 
 
 def recurrent_green(e, nu):
     """Green operator of a recurrent chain applied to a charge-zero measure.
 
     Returns the unique f with (M_lambda - C) f = nu and <f, lambda> = 0.
+    The chain killed at the first vertex solves the equation off that
+    vertex, and so at it too: the rows of M_lambda - C and nu sum to zero.
     """
     if e.transient:
         raise GraphError("recurrent Green operator requires a recurrent chain")
@@ -136,14 +141,15 @@ def recurrent_green(e, nu):
         raise GraphError("nu must be a per-vertex measure")
     if abs(nu.sum()) > 1e-12 * max(1.0, np.abs(nu).max()):
         raise GraphError("nu must have total charge zero")
-    f = np.linalg.pinv(e.laplacian()) @ nu
+    f = _green_matrix_for_edges(e, e.vertices[0]) @ nu
     f -= (f @ e.lam) / e.lam.sum()
     return f
 
 
 def _green_matrix_for_edges(e, root):
-    """Green matrix used by the transfer matrix: G itself when transient,
-    the chain killed at the root (extended by zeros) when recurrent."""
+    """Green matrix of the transfer matrix and recurrent_green: G itself
+    when transient, the chain killed at the root (extended by zeros) when
+    recurrent."""
     if e.transient:
         if root is not None:
             raise GraphError("root only applies to recurrent chains")
@@ -155,7 +161,10 @@ def _green_matrix_for_edges(e, root):
         raise GraphError(f"unknown root {root!r}")
     idx = e.indices(keep)
     G = np.zeros((e.n, e.n))
-    G[np.ix_(idx, idx)] = _inv(restrict(e, keep).laplacian(), "some component never reaches the root")
+    try:
+        G[np.ix_(idx, idx)] = green(restrict(e, keep)).G
+    except GraphError as err:
+        raise GraphError(f"some component never reaches the root {root!r}") from err
     return G
 
 
@@ -190,8 +199,7 @@ def hitting_kernel(e, F):
     H = np.zeros((e.n, len(F)))
     H[idxF, np.arange(len(F))] = 1.0
     if comp.size:
-        eD = restrict(e, [e.vertices[i] for i in comp])
-        GD = _inv(eD.laplacian())
+        GD = green(restrict(e, [e.vertices[i] for i in comp])).G
         H[comp, :] = GD @ e.C[np.ix_(comp, idxF)]
     return H
 

@@ -10,6 +10,9 @@ transient iff kappa is not identically zero.
 import functools
 import itertools
 import json
+import math
+import operator
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -28,14 +31,6 @@ WREATH_STATE_GUARD = 4096
 
 class GraphError(ValueError):
     """Invalid graph data or operation precondition."""
-
-
-def _inv(A, message="restricted energy matrix is singular: some component is never killed"):
-    """np.linalg.inv(A), raising GraphError(message) when A is singular."""
-    try:
-        return np.linalg.inv(A)
-    except np.linalg.LinAlgError as err:
-        raise GraphError(message) from err
 
 
 class EnergyForm:
@@ -231,19 +226,33 @@ def trace_on(e, F):
     comp = np.setdiff1d(np.arange(e.n), idx)
     if comp.size == 0:
         return EnergyForm([e.vertices[i] for i in idx], e.C[np.ix_(idx, idx)], e.kappa[idx])
-    eD = restrict(e, [e.vertices[i] for i in comp])
-    if not eD.transient:
-        raise GraphError("restriction to the complement must be transient")
-    GD = _inv(eD.laplacian())
+    from .exact import green  # exact imports this module
+
+    GD = green(restrict(e, [e.vertices[i] for i in comp])).G
     B = e.C[np.ix_(idx, comp)]  # C_{x,a}, x in F, a in D
     excursions = B @ GD @ B.T
     C = e.C[np.ix_(idx, idx)] + excursions
     np.fill_diagonal(C, 0.0)
-    lam = e.lam[idx] - np.diag(B @ GD @ B.T)
+    lam = e.lam[idx] - np.diag(excursions)
     # off-diagonal excursion mass already sits in C; the rest is killing
     kappa = lam - C.sum(axis=1)
     kappa[np.abs(kappa) < 1e-13 * np.maximum(1.0, lam)] = 0.0
     return EnergyForm([e.vertices[i] for i in idx], C, kappa)
+
+
+def _register_sizes(e, n_per_vertex):
+    """Wreath register size n_x of each vertex index, from one integer for
+    every vertex or a mapping from vertex names to integers."""
+    sizes = n_per_vertex if isinstance(n_per_vertex, Mapping) else dict.fromkeys(e.vertices, n_per_vertex)
+    try:
+        ns = [operator.index(sizes[v]) for v in e.vertices]
+    except KeyError as err:
+        raise GraphError(f"no register size for vertex {err.args[0]!r}") from None
+    except TypeError:
+        raise GraphError("register sizes must be integers") from None
+    if min(ns) < 1:
+        raise GraphError("register sizes must be >= 1")
+    return ns
 
 
 def build_wreath(e, n_per_vertex):
@@ -253,13 +262,11 @@ def build_wreath(e, n_per_vertex):
     States are pairs (x, z) with z a tuple of register values.  The
     killing and lambda of a state equal those of its first coordinate.
     """
-    ns = {v: int(n_per_vertex[v]) if hasattr(n_per_vertex, "__getitem__") and not isinstance(n_per_vertex, int) else int(n_per_vertex) for v in e.vertices}
-    if any(k < 1 for k in ns.values()):
-        raise GraphError("register sizes must be >= 1")
-    total = e.n * int(np.prod([ns[v] for v in e.vertices]))
+    ns = _register_sizes(e, n_per_vertex)
+    total = e.n * math.prod(ns)
     if total > WREATH_STATE_GUARD:
         raise GraphError(f"wreath state space of size {total} exceeds guard {WREATH_STATE_GUARD}")
-    configs = list(itertools.product(*[range(ns[v]) for v in e.vertices]))
+    configs = list(itertools.product(*[range(k) for k in ns]))
     states = [(x, z) for x in range(e.n) for z in configs]
     names = [f"{e.vertices[x]}|" + ",".join(map(str, z)) for x, z in states]
     m = len(states)
@@ -271,6 +278,6 @@ def build_wreath(e, n_per_vertex):
             if b <= a or e.C[x, xp] == 0:
                 continue
             if all(z[y] == zp[y] for y in range(e.n) if y != x and y != xp):
-                w = e.C[x, xp] / (ns[e.vertices[x]] * ns[e.vertices[xp]])
+                w = e.C[x, xp] / (ns[x] * ns[xp])
                 C[a, b] = C[b, a] = w
     return EnergyForm(names, C, kappa)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import _logdet_posdef, green, green_chi, hitting_kernel
-from .graph import GraphError
+from .graph import GraphError, _register_sizes
 
 __all__ = [
     "DiscreteLoop",
@@ -320,9 +320,9 @@ def wreath_identity_sum(e, n_per_vertex, k_max):
     """prod n_x * sum over enumerated loops of mu(loop) prod_{x visited}
     1/n_x, an approximation (within the enumeration tail) of the total
     nontrivial loop mass of the wreath product chain."""
-    ns = [n_per_vertex if isinstance(n_per_vertex, int) else int(n_per_vertex[v]) for v in e.vertices]
+    ns = _register_sizes(e, n_per_vertex)
     loops, tail = enumerate_loops(e, k_max)
-    prefactor = float(np.prod(ns))
+    prefactor = float(math.prod(ns))
     total = 0.0
     for loop, mass in loops:
         total += mass * float(np.prod([1.0 / ns[v] for v in set(loop.vertices)]))

@@ -28,14 +28,14 @@ np.add.at or np.bincount over the flat arrays of _positions.
 
 import weakref
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrs
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
-from scipy.special import eval_hermitenorm, exp1
+from scipy.special import eval_hermitenorm
 
 from .exact import _factor
 from .graph import GraphError
@@ -69,7 +69,6 @@ class LoopEnsemble:
     alpha: float
     loops: list
     trivial: np.ndarray
-    trivial_points: dict = field(default_factory=dict)
     k_cap: int | None = None
     dropped_mass: float = 0.0
 
@@ -312,37 +311,9 @@ def sample_pointed_loop(e, rng, k_cap=None):
     return _loop_sampler(e, k_cap).sample(rng)
 
 
-def _sample_trivial_points(lam, alpha, gen, cutoff):
-    """Points of the Poisson process with intensity alpha e^{-lam t}/t dt
-    above the cutoff (the individual trivial-loop occupations at a vertex)."""
-    w1 = exp1(lam * cutoff) - exp1(1.0)  # mass on (cutoff, 1/lam)
-    w2 = exp1(1.0)  # mass on (1/lam, inf)
-    count = gen.poisson(alpha * (w1 + w2))
-    points = []
-    for _ in range(count):
-        if gen.random() * (w1 + w2) < w1:
-            while True:
-                t = cutoff * np.exp(gen.random() * np.log(1.0 / (lam * cutoff)))
-                if gen.random() < np.exp(-lam * t):
-                    points.append(t)
-                    break
-        else:
-            while True:
-                t = (1.0 + gen.standard_exponential()) / lam
-                if gen.random() < 1.0 / (lam * t):
-                    points.append(t)
-                    break
-    return np.array(points)
-
-
-def sample_loop_soup(e, alpha, rng, k_cap=None, trivial_detail_vertex=None):
+def sample_loop_soup(e, alpha, rng, k_cap=None):
     """Poisson ensemble L_alpha: Poisson(alpha mu(p>1)) nontrivial loops
-    plus Gamma(alpha, rate lambda_x) aggregated trivial occupation.
-
-    With trivial_detail_vertex, the individual trivial-loop occupations at
-    that vertex are sampled explicitly (point process truncated at a
-    relative cutoff 1e-10) instead of the aggregate.
-    """
+    plus Gamma(alpha, rate lambda_x) aggregated trivial occupation."""
     gen = as_generator(rng)
     if not 0 <= alpha < np.inf:
         raise GraphError("alpha must be finite and nonnegative")
@@ -352,13 +323,7 @@ def sample_loop_soup(e, alpha, rng, k_cap=None, trivial_detail_vertex=None):
     n_loops = gen.poisson(alpha * sampler.total)
     loops = [sampler.sample(gen) for _ in range(n_loops)]
     trivial = np.array([gen.gamma(alpha, 1.0 / l) for l in e.lam])
-    detail = {}
-    if trivial_detail_vertex is not None:
-        i = e.index[trivial_detail_vertex]
-        points = _sample_trivial_points(e.lam[i], alpha, gen, cutoff=1e-10 / e.lam[i])
-        trivial[i] = points.sum()
-        detail[trivial_detail_vertex] = points
-    return LoopEnsemble(e.vertices, alpha, loops, trivial, detail, sampler.k_cap, sampler.dropped_mass)
+    return LoopEnsemble(e.vertices, alpha, loops, trivial, sampler.k_cap, sampler.dropped_mass)
 
 
 @dataclass

@@ -39,7 +39,7 @@ from .samplers import (
     sample_bridge,
     wilson_sample,
 )
-from .zeta import line_graph_operator, non_backtracking_counts, zeta_ihara
+from .zeta import _u_max, line_graph_operator, non_backtracking_counts, zeta_ihara
 
 __all__ = [
     "VerificationReport",
@@ -290,47 +290,35 @@ def _orth_target(gxy, k, l, alpha):
 def enumerate_spanning_trees(e, root=None):
     """Exhaustive oracle: all rooted spanning trees with their exact
     probabilities Z_e * prod C.  Transient chains are rooted at the
-    cemetery (parent None); recurrent ones at the given root."""
+    cemetery (parent None); recurrent ones at the given root, as the
+    chain killed there."""
     if e.n > 6:
         raise GraphError("spanning tree enumeration guard exceeded")
     if e.transient:
         if root is not None:
             raise GraphError("root only applies to recurrent chains")
-        logZ = green(e).logdet_G
-        choosers = []
-        names = list(e.vertices)
-        for i in range(e.n):
-            opts = [(int(j), e.C[i, j]) for j in np.nonzero(e.C[i])[0]]
-            if e.kappa[i] > 0:
-                opts.append((None, e.kappa[i]))
-            choosers.append(opts)
     else:
         if root is None:
             raise GraphError("recurrent chain needs a root")
-        keep = [v for v in e.vertices if v != root]
-        logZ = -_logdet_posdef(restrict(e, keep).laplacian())
-        names = keep
-        choosers = [
-            [
-                (int(j) if e.vertices[j] != root else None, e.C[e.index[v], j])
-                for j in np.nonzero(e.C[e.index[v]])[0]
-            ]
-            for v in keep
-        ]
-    Z = float(np.exp(logZ))
+        e = restrict(e, [v for v in e.vertices if v != root])
+    Z = float(np.exp(green(e).logdet_G))
+    choosers = []
+    for i in range(e.n):
+        opts = [(int(j), e.C[i, j]) for j in np.nonzero(e.C[i])[0]]
+        if e.kappa[i] > 0:
+            opts.append((None, e.kappa[i]))
+        choosers.append(opts)
     trees = []
-    index_of = {v: i for i, v in enumerate(names)}
     for combo in itertools.product(*choosers):
-        # chooser positions of the parents; the root (None) has none
-        parent_idx = [None if c[0] is None else index_of[e.vertices[c[0]]] for c in combo]
-        # acyclicity: len(names) parent steps take every vertex to the root
-        reach = list(range(len(names)))
-        for _ in names:
+        parent_idx = [c[0] for c in combo]
+        # acyclicity: n parent steps take every vertex to the root (None)
+        reach = list(range(e.n))
+        for _ in range(e.n):
             reach = [None if j is None else parent_idx[j] for j in reach]
         if any(j is not None for j in reach):
             continue
         weight = float(np.prod([c[1] for c in combo]))
-        parent = {names[i]: root if j is None else names[j] for i, j in enumerate(parent_idx)}
+        parent = {e.vertices[i]: root if j is None else e.vertices[j] for i, j in enumerate(parent_idx)}
         trees.append((parent, Z * weight))
     return trees
 
@@ -764,9 +752,8 @@ def verify_zeta(e, m_max=8, fixture="?"):
     zeta values on a grid."""
     t0 = time.perf_counter()
     report = VerificationReport("zeta", fixture, 0, None)
-    degrees = e.C.sum(axis=1)
-    u_hi = 1.0 / max(1.0, degrees.max() - 1.0)
-    grid = [0.2 * u_hi, 0.5 * u_hi]
+    u_max = _u_max(e)
+    grid = [0.2 * u_max, 0.5 * u_max]
     zr = zeta_ihara(e, grid, m_max)
     N_enum, L_enum = non_backtracking_counts(e, m_max)
     Q, _ = line_graph_operator(e)

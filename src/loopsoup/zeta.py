@@ -140,12 +140,17 @@ def non_backtracking_counts(e, m_max):
     return N[1:], L[1:]
 
 
+def _u_max(e):
+    """Convergence radius 1/max(1, d_max - 1) of the zeta series."""
+    return 1.0 / max(1.0, e.C.sum(axis=1).max() - 1.0)
+
+
 def zeta_ihara(e, u_grid, m_max):
     """Ihara zeta report: series counts and IZ(u) on a grid, each
     computed three independent ways."""
     A = _adjacency(e)
     degrees = A.sum(axis=1)
-    u_max = 1.0 / max(1.0, degrees.max() - 1.0)
+    u_max = _u_max(e)
     for u in u_grid:
         if not (0 < u < u_max):
             raise GraphError(f"u = {u} outside the convergence region (0, {u_max})")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 import loopsoup as ls
 from loopsoup.exact import _factor, _logdet_posdef, _omega_matrix, hitting_kernel
 from loopsoup.graph import GraphError
+from loopsoup.verify import enumerate_spanning_trees
 
 from conftest import killed_box, random_energy_form
 
@@ -295,3 +298,122 @@ def test_twisted_log_z_matches_loop_enumeration(k4c1):
     _, log_Z = ls.twisted_green(k4c1, omega)
     assert log_Z.imag == 0
     assert abs(total - (log_Z - ls.green(k4c1).logdet_G)) <= 2 * tail
+
+
+# Reference implementations: each Green function of a derived chain as a
+# direct inverse of its energy matrix (pinv for a recurrent chain), and the
+# rooted spanning trees by a chooser over the recurrent form itself.
+
+
+def _close(a, b):
+    return np.abs(np.asarray(a) - np.asarray(b)).max() <= 1e-10 * np.abs(b).max()
+
+
+def _derived_chain_forms():
+    rng = np.random.default_rng(10)
+    return [random_energy_form(rng, n=n, transient=t) for t in (True, False) for n in (4, 5, 6)]
+
+
+def _proper_subsets(e):
+    return [list(e.vertices[:k]) for k in (1, e.n // 2, e.n - 1)]
+
+
+def _ref_rooted_green(e, root):
+    keep = [v for v in e.vertices if v != root]
+    idx = e.indices(keep)
+    G = np.zeros((e.n, e.n))
+    G[np.ix_(idx, idx)] = np.linalg.inv(ls.restrict(e, keep).laplacian())
+    return G
+
+
+def _ref_spanning_trees(e, root):
+    """Rooted spanning trees of a recurrent form: each vertex but the root
+    chooses a neighbour, and choosing the root stands for parent None."""
+    keep = [v for v in e.vertices if v != root]
+    Z = float(np.exp(-_logdet_posdef(ls.restrict(e, keep).laplacian())))
+    choosers = [
+        [(int(j) if e.vertices[j] != root else None, e.C[e.index[v], j]) for j in np.nonzero(e.C[e.index[v]])[0]]
+        for v in keep
+    ]
+    index_of = {v: i for i, v in enumerate(keep)}
+    trees = []
+    for combo in itertools.product(*choosers):
+        parent_idx = [None if c[0] is None else index_of[e.vertices[c[0]]] for c in combo]
+        reach = list(range(len(keep)))
+        for _ in keep:
+            reach = [None if j is None else parent_idx[j] for j in reach]
+        if any(j is not None for j in reach):
+            continue
+        weight = float(np.prod([c[1] for c in combo]))
+        trees.append(({keep[i]: root if j is None else keep[j] for i, j in enumerate(parent_idx)}, Z * weight))
+    return trees
+
+
+@pytest.mark.parametrize("e", _derived_chain_forms(), ids=repr)
+def test_green_chi_matches_inverse(e):
+    rng = np.random.default_rng(e.n)
+    for chi in (rng.uniform(0, 2, size=e.n), np.eye(e.n)[e.n - 1]):
+        assert _close(ls.green_chi(e, chi), np.linalg.inv(e.laplacian() + np.diag(chi)))
+
+
+@pytest.mark.parametrize("e", _derived_chain_forms(), ids=repr)
+def test_hitting_kernel_matches_inverse(e):
+    for F in _proper_subsets(e):
+        idxF = e.indices(F)
+        comp = np.setdiff1d(np.arange(e.n), idxF)
+        GD = np.linalg.inv(ls.restrict(e, [e.vertices[i] for i in comp]).laplacian())
+        H = hitting_kernel(e, F)
+        assert _close(H[comp], GD @ e.C[np.ix_(comp, idxF)])
+        assert np.array_equal(H[idxF], np.eye(len(F)))
+
+
+@pytest.mark.parametrize("e", _derived_chain_forms(), ids=repr)
+def test_trace_on_matches_inverse(e):
+    # a recurrent chain traced on one vertex has lambda = 0 there: no form
+    for F in [F for F in _proper_subsets(e) if e.transient or len(F) > 1]:
+        idx = e.indices(F)
+        comp = np.setdiff1d(np.arange(e.n), idx)
+        GD = np.linalg.inv(ls.restrict(e, [e.vertices[i] for i in comp]).laplacian())
+        B = e.C[np.ix_(idx, comp)]
+        excursions = B @ GD @ B.T
+        C = e.C[np.ix_(idx, idx)] + excursions
+        np.fill_diagonal(C, 0.0)
+        kappa = e.lam[idx] - np.diag(excursions) - C.sum(axis=1)
+        tr = ls.trace_on(e, F)
+        assert _close(tr.C, C)
+        assert np.abs(tr.kappa - kappa).max() <= 1e-10 * e.lam.max()
+
+
+@pytest.mark.parametrize("e", [e for e in _derived_chain_forms() if not e.transient], ids=repr)
+def test_rooted_transfer_matrix_matches_inverse(e):
+    edges = [(x, y) for i, x in enumerate(e.vertices) for j, y in enumerate(e.vertices) if i < j and e.C[i, j] > 0]
+    ix = e.indices([x for x, _ in edges])
+    iy = e.indices([y for _, y in edges])
+    for root in e.vertices:
+        G = _ref_rooted_green(e, root)
+        K = G[np.ix_(ix, ix)] + G[np.ix_(iy, iy)] - G[np.ix_(ix, iy)] - G[np.ix_(iy, ix)]
+        assert _close(ls.transfer_matrix(e, edges, root=root).K, K)
+
+
+@pytest.mark.parametrize(
+    "e", [e for e in _derived_chain_forms() if not e.transient] + [ls.load_energy_form(ls.fixture("cube"))], ids=repr
+)
+def test_recurrent_green_matches_pinv(e):
+    rng = np.random.default_rng(e.n)
+    for _ in range(3):
+        nu = rng.normal(size=e.n)
+        nu -= nu.mean()
+        f_ref = np.linalg.pinv(e.laplacian()) @ nu
+        f_ref -= (f_ref @ e.lam) / e.lam.sum()
+        assert _close(ls.recurrent_green(e, nu), f_ref)
+
+
+@pytest.mark.parametrize("e", [e for e in _derived_chain_forms() if not e.transient], ids=repr)
+def test_rooted_spanning_trees_match_recurrent_chooser(e):
+    def law(trees):
+        return {frozenset(parent.items()): p for parent, p in trees}
+
+    for root in (e.vertices[0], e.vertices[-1]):
+        got, ref = law(enumerate_spanning_trees(e, root=root)), law(_ref_spanning_trees(e, root))
+        assert got.keys() == ref.keys()
+        assert all(abs(got[k] - ref[k]) <= 1e-10 * ref[k] for k in ref)

@@ -156,6 +156,24 @@ def test_wreath_guard(k3):
         ls.build_wreath(k3, {"a": 40, "b": 40, "c": 40})
 
 
+@pytest.mark.parametrize("sizes", [np.int64(2), {"a": np.int64(2), "b": 2, "c": np.int32(2)}])
+def test_wreath_accepts_numpy_integer_sizes(k3, sizes):
+    assert np.array_equal(ls.build_wreath(k3, sizes).C, ls.build_wreath(k3, 2).C)
+    assert ls.wreath_identity_sum(k3, sizes, 4) == ls.wreath_identity_sum(k3, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "sizes, match",
+    [(0, ">= 1"), ({"a": 2, "b": 0, "c": 2}, ">= 1"), ({"a": 2, "b": 2}, "no register size for vertex 'c'"),
+     (2.5, "integers")],
+)
+def test_wreath_rejects_bad_sizes(k3, sizes, match):
+    with pytest.raises(GraphError, match=match):
+        ls.build_wreath(k3, sizes)
+    with pytest.raises(GraphError, match=match):
+        ls.wreath_identity_sum(k3, sizes, 4)
+
+
 def test_random_forms_satisfy_lambda_symmetry():
     rng = np.random.default_rng(0)
     for _ in range(10):

@@ -10,7 +10,7 @@ from scipy import stats
 import loopsoup as ls
 from loopsoup.graph import GraphError
 from loopsoup.loops import PointedLoop
-from loopsoup.samplers import _cdf, _draw, _sample_trivial_points, _step_table, _tail_mass, wick_power
+from loopsoup.samplers import _cdf, _draw, _step_table, _tail_mass, wick_power
 from loopsoup.verify import _soup_occupations
 
 
@@ -201,17 +201,6 @@ def test_soup_traversal_mean(p2):
 def test_soup_alpha_zero(p2):
     ens = ls.sample_loop_soup(p2, 0.0, ls.RngStream(1))
     assert ens.loops == [] and np.all(ens.trivial == 0)
-
-
-def test_trivial_detail_points_match_aggregate_mean():
-    lam, alpha, cutoff = 2.0, 1.0, 1e-10 / 2.0
-    gen = ls.RngStream(5).generator
-    n = 5000
-    sums = np.array([_sample_trivial_points(lam, alpha, gen, cutoff).sum() for _ in range(n)])
-    # aggregate occupation is Gamma(alpha, rate lam): mean alpha/lam, var alpha/lam^2
-    assert sums.mean() == pytest.approx(alpha / lam, abs=5 * np.sqrt(alpha / lam**2 / n))
-    ks = stats.kstest(sums, "gamma", args=(alpha, 0, 1 / lam))
-    assert ks.pvalue > 0.001
 
 
 def test_bridge_deterministic_and_ends(p2):
