@@ -93,10 +93,10 @@ def cmd_sample(args):
     e = load_energy_form(args.graph)
     rng = RngStream(args.seed)
     summaries = []
-    # every soup of one form and cap shares one sampler, so one cap and one dropped mass
+    # every soup of one form shares one sampler, so one cap and one dropped mass
     payload = {"alpha": args.alpha, "seed": args.seed, "k_cap": None, "dropped_mass": 0.0, "samples": summaries}
     for _ in range(args.samples):
-        ens = sample_loop_soup(e, args.alpha, rng, k_cap=args.k_cap)
+        ens = sample_loop_soup(e, args.alpha, rng)
         payload.update(k_cap=ens.k_cap, dropped_mass=ens.dropped_mass)
         summaries.append(
             {
@@ -220,7 +220,6 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("-n", "--samples", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k-cap", type=int, default=None)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("wilson")

@@ -113,8 +113,9 @@ def green(e):
     return GreenBundle(e.vertices, G, logdet_G, logdet_IminusP)
 
 
-def green_chi(e, chi):
-    """G_chi = (M_lambda + M_chi - C)^{-1} (Feynman-Kac perturbation)."""
+def _chi_form(e, chi):
+    """The chain with the measure chi added to its killing (Feynman-Kac
+    perturbation), after checking chi."""
     chi = np.asarray(chi, dtype=float)
     if chi.shape != (e.n,):
         raise GraphError("chi must be a per-vertex measure")
@@ -124,7 +125,12 @@ def green_chi(e, chi):
         raise GraphError("chi must be nonnegative")
     if not e.transient and not np.any(chi > 0):
         raise GraphError("recurrent chain needs a nonzero chi")
-    return green(EnergyForm(e.vertices, e.C, e.kappa + chi, validate=False)).G
+    return EnergyForm(e.vertices, e.C, e.kappa + chi, validate=False)
+
+
+def green_chi(e, chi):
+    """G_chi = (M_lambda + M_chi - C)^{-1} (Feynman-Kac perturbation)."""
+    return green(_chi_form(e, chi)).G
 
 
 def recurrent_green(e, nu):
@@ -237,6 +243,13 @@ def _omega_matrix(e, omega):
     return W
 
 
+def _twisted_matrix(e, omega):
+    """A = M_lambda - C e^{i omega} of a transient chain and a one-form."""
+    if not e.transient:
+        raise GraphError("twisted Green function requires a transient chain")
+    return np.diag(e.lam) - e.C * np.exp(1j * _omega_matrix(e, omega))
+
+
 def twisted_green(e, omega):
     """Green function twisted by a one-form, and log Z.
 
@@ -245,12 +258,8 @@ def twisted_green(e, omega):
     definite (see the module docstring), so log Z is real: a loop and its
     reversal carry the same mass and opposite holonomy.
     """
-    if not e.transient:
-        raise GraphError("twisted Green function requires a transient chain")
-    W = _omega_matrix(e, omega)
-    A = np.diag(e.lam) - e.C * np.exp(1j * W)
-    log_Z = complex(-_logdet_posdef(A))
-    return np.linalg.inv(A), log_Z
+    A = _twisted_matrix(e, omega)
+    return np.linalg.inv(A), complex(-_logdet_posdef(A))
 
 
 def partition_ratio(e, e2, omega=None, alpha=1.0):
@@ -264,6 +273,6 @@ def partition_ratio(e, e2, omega=None, alpha=1.0):
         raise GraphError("alpha must be finite")
     if omega is None:
         omega = np.zeros((e.n, e.n))
-    _, log_Z2 = twisted_green(e2, omega)
+    log_Z2 = complex(-_logdet_posdef(_twisted_matrix(e2, omega)))
     log_Z1 = -_logdet_posdef(e.laplacian())
     return complex(np.exp(alpha * (log_Z2 - log_Z1)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _logdet_posdef, green, green_chi, hitting_kernel
+from .exact import _chi_form, _logdet_posdef, green, hitting_kernel
 from .graph import GraphError, _register_sizes
 
 __all__ = [
@@ -217,14 +217,12 @@ def occupation_laplace(e, alpha, chi):
     """E[e^{-<L_alpha, chi>}] = det(I + M_sqrt(chi) G M_sqrt(chi))^{-alpha}
     = (det G_chi / det G)^alpha; both forms computed and compared."""
     chi = np.asarray(chi, dtype=float)
-    if np.any(chi < 0):
-        raise GraphError("chi must be nonnegative")
+    e_chi = _chi_form(e, chi)
     bundle = green(e)
     sq = np.sqrt(chi)
     A = np.eye(e.n) + sq[:, None] * bundle.G * sq[None, :]
     v1 = float(np.exp(-alpha * _logdet_posdef(A)))
-    logdet_Gchi = _logdet_posdef(green_chi(e, chi))
-    v2 = float(np.exp(alpha * (logdet_Gchi - bundle.logdet_G)))
+    v2 = float(np.exp(alpha * (green(e_chi).logdet_G - bundle.logdet_G)))
     if abs(v1 - v2) > 1e-9 * max(1.0, abs(v1)):
         raise GraphError("Laplace transform determinant forms disagree")
     return v1

@@ -18,10 +18,6 @@ class RngStream:
         self._bitgen = np.random.Philox(key=np.array([self.seed, self.stream], dtype=np.uint64))
         self.generator = np.random.Generator(self._bitgen)
 
-    def substream(self, stream):
-        """Independent stream under the same seed."""
-        return RngStream(self.seed, stream)
-
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream={self.stream})"
 

@@ -9,11 +9,10 @@ gen.random() and a binary search in a cumulative table.  The tables are
 normalised as Generator.choice normalises its own, so a step consumes the
 same draw and returns the same index as gen.choice(n, p=row), draw for
 draw.  The pointed-loop sampler's length and base-point tables come from
-one eigendecomposition and are built once per (form, length cap), the
-walk table of Wilson's algorithm once per form and a bridge's rows once
-per bridge; only the pointed-loop step conditioned on the loop's base
-point and length is built at each step, from Krylov columns P^m e_base
-taken per loop.
+one eigendecomposition and, like the walk table of Wilson's algorithm,
+are built once per form; a bridge's rows are built once per bridge; only
+the pointed-loop step conditioned on the loop's base point and length is
+built at each step, from Krylov columns P^m e_base taken per loop.
 
 The free field needs no Green matrix: with M_lambda - C = R R^T (Cholesky),
 phi = R^{-T} z for z standard normal has covariance
@@ -120,9 +119,6 @@ class SpanningTree:
         """Canonical hashable identity of the tree (for frequency counts)."""
         return tuple(sorted(self.parent.items(), key=lambda kv: str(kv[0])))
 
-    def edges(self):
-        return [(c, p) for c, p in self.parent.items() if p is not None]
-
     def contains_edge(self, x, y):
         """Whether the undirected edge {x, y} is in the tree."""
         return self.parent.get(x) == y or self.parent.get(y) == x
@@ -216,7 +212,7 @@ class PointedLoopSampler:
     weakly (e), so a memoised sampler never keeps it alive.
     """
 
-    def __init__(self, e, k_cap=None):
+    def __init__(self, e):
         if not e.transient:
             raise GraphError("loop sampling requires a transient chain")
         self._form = weakref.ref(e)
@@ -227,14 +223,11 @@ class PointedLoopSampler:
         rho = float(np.max(np.abs(w)))
         if not rho < 1:
             raise GraphError("loop sampling requires spectral radius below 1")
-        if k_cap is None:
-            k_cap = 8
-            while e.n * rho ** (k_cap + 1) / ((k_cap + 1) * (1 - rho)) > 1e-12 * self.total:
-                k_cap *= 2
-                if k_cap > 1 << 16:
-                    raise GraphError("length cap growth failed")
-        if k_cap < 2:
-            raise GraphError("k_cap must be at least 2 (nontrivial loops have length >= 2)")
+        k_cap = 8
+        while e.n * rho ** (k_cap + 1) / ((k_cap + 1) * (1 - rho)) > 1e-12 * self.total:
+            k_cap *= 2
+            if k_cap > 1 << 16:
+                raise GraphError("length cap growth failed")
         self.k_cap = k_cap
         self.P, self.lam = e.P, e.lam
         k = np.arange(k_cap + 1)
@@ -297,21 +290,20 @@ def _tail_mass(w, k_cap):
 _SAMPLERS = weakref.WeakKeyDictionary()
 
 
-def _loop_sampler(e, k_cap=None):
-    """PointedLoopSampler of the form at this k_cap, built once per
-    (form, k_cap) and kept while the form lives."""
-    per_cap = _SAMPLERS.setdefault(e, {})
-    sampler = per_cap.get(k_cap)
+def _loop_sampler(e):
+    """PointedLoopSampler of the form, built once per form and kept while
+    the form lives."""
+    sampler = _SAMPLERS.get(e)
     if sampler is None:
-        sampler = per_cap[k_cap] = PointedLoopSampler(e, k_cap)
+        sampler = _SAMPLERS[e] = PointedLoopSampler(e)
     return sampler
 
 
-def sample_pointed_loop(e, rng, k_cap=None):
-    return _loop_sampler(e, k_cap).sample(rng)
+def sample_pointed_loop(e, rng):
+    return _loop_sampler(e).sample(rng)
 
 
-def sample_loop_soup(e, alpha, rng, k_cap=None):
+def sample_loop_soup(e, alpha, rng):
     """Poisson ensemble L_alpha: Poisson(alpha mu(p>1)) nontrivial loops
     plus Gamma(alpha, rate lambda_x) aggregated trivial occupation."""
     gen = as_generator(rng)
@@ -319,7 +311,7 @@ def sample_loop_soup(e, alpha, rng, k_cap=None):
         raise GraphError("alpha must be finite and nonnegative")
     if alpha == 0:
         return LoopEnsemble(e.vertices, 0.0, [], np.zeros(e.n))
-    sampler = _loop_sampler(e, k_cap)
+    sampler = _loop_sampler(e)
     n_loops = gen.poisson(alpha * sampler.total)
     loops = [sampler.sample(gen) for _ in range(n_loops)]
     trivial = np.array([gen.gamma(alpha, 1.0 / l) for l in e.lam])
@@ -335,7 +327,11 @@ class BridgePath:
     taus: tuple
 
 
-def sample_bridge(e, x, y, rng, max_steps=10**7):
+# step bound of every walk that must end (a bridge, a walk to the cemetery)
+MAX_STEPS = 10**7
+
+
+def sample_bridge(e, x, y, rng):
     """Bridge from x to y: at u, stop with probability delta_{u,y}/V^u_y,
     else move to z with probability P^u_z V^z_y / V^u_y (V = (I-P)^{-1} =
     G M_lambda: V_y = lambda_y G e_y is one solve with the Cholesky factor).
@@ -351,7 +347,7 @@ def sample_bridge(e, x, y, rng, max_steps=10**7):
         raise GraphError(f"{y!r} unreachable from {x!r}")
     cdfs = {}  # row u of the h-transformed step law, built on first visit
     seq = [i]
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         u = seq[-1]
         if u == j and gen.random() < 1.0 / Vj[u]:
             break
@@ -409,7 +405,7 @@ def loop_erase(path):
     return out
 
 
-def wilson_sample(e, rng, vertex_order=None, root=None):
+def wilson_sample(e, rng, root=None):
     """Wilson's algorithm: iterated loop-erased walks building a spanning
     tree, together with the ensemble of erased loops.
 
@@ -432,8 +428,7 @@ def wilson_sample(e, rng, vertex_order=None, root=None):
     erased = []
     if root is not None:
         in_tree[e.indices([root])] = True
-    order = e.indices(vertex_order).tolist() if vertex_order is not None else range(n)
-    for start in order:
+    for start in range(n):
         if in_tree[start]:
             continue
         stack = [(start, float(gen.standard_exponential()) / e.lam[start])]

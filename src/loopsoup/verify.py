@@ -30,6 +30,7 @@ from .loops import (
 )
 from .rng import as_generator
 from .samplers import (
+    MAX_STEPS,
     SpanningTree,
     _draw,
     _loop_sampler,
@@ -300,6 +301,8 @@ def enumerate_spanning_trees(e, root=None):
     else:
         if root is None:
             raise GraphError("recurrent chain needs a root")
+        if root not in e.index:
+            raise GraphError(f"unknown root {root!r}")
         e = restrict(e, [v for v in e.vertices if v != root])
     Z = float(np.exp(green(e).logdet_G))
     choosers = []
@@ -430,17 +433,17 @@ def verify_dynkin(e, k=1, n_samples=0, rng=0, fixture="?"):
     return report.finalize(t0)
 
 
-def _tree_edge_probability(e, edges, root=None):
-    """P(all undirected edges in the tree) = prod C * det K."""
-    K = transfer_matrix(e, edges, root=root).K
-    conds = [e.C[e.index[x], e.index[y]] for x, y in edges]
-    return float(np.prod(conds) * np.linalg.det(K))
+def _inclusion_probability(e, tm, sub):
+    """P(the undirected edges tm.edges[sub] are all in the tree) =
+    prod C * det K[sub, sub] of the transfer matrix tm."""
+    conds = [e.C[e.index[x], e.index[y]] for x, y in (tm.edges[a] for a in sub)]
+    return float(np.prod(conds) * np.linalg.det(tm.K[np.ix_(sub, sub)]))
 
 
-def verify_transfer_current(e, edge_sets=None, n_samples=0, rng=0, root=None,
-                            fixture="?"):
-    """Spanning trees: exhaustive-law oracle, edge-inclusion determinants,
-    the determinantal Laplace functional and negative association."""
+def verify_transfer_current(e, n_samples=0, rng=0, root=None, fixture="?"):
+    """Spanning trees: exhaustive-law oracle, inclusion determinants of the
+    edge sets {e_0}, {e_1} and {e_0, e_1}, the determinantal Laplace
+    functional and negative association."""
     t0, gen, report = _suite("transfer_current", fixture, n_samples, rng)
     all_edges = [
         (e.vertices[i], e.vertices[j])
@@ -448,14 +451,13 @@ def verify_transfer_current(e, edge_sets=None, n_samples=0, rng=0, root=None,
         for j in range(i + 1, e.n)
         if e.C[i, j] > 0
     ]
-    if edge_sets is None:
-        edge_sets = [[edge] for edge in all_edges[:2]]
-        if len(all_edges) >= 2:
-            edge_sets.append(all_edges[:2])
-    named_sets = [
-        ("+".join(f"{a}-{b}" for a, b in edges), edges, _tree_edge_probability(e, edges, root=root))
-        for edges in edge_sets
-    ]
+    tm = transfer_matrix(e, all_edges, root=root)
+    subsets = [[0], [1], [0, 1]] if len(all_edges) >= 2 else [[0]] * len(all_edges)
+    named_sets = []
+    for sub in subsets:
+        edges = [all_edges[a] for a in sub]
+        name = "+".join(f"{a}-{b}" for a, b in edges)
+        named_sets.append((name, edges, _inclusion_probability(e, tm, sub)))
     oracle = None
     if e.n <= 4:
         oracle = [(SpanningTree(parent, root), p) for parent, p in enumerate_spanning_trees(e, root=root)]
@@ -467,29 +469,26 @@ def verify_transfer_current(e, edge_sets=None, n_samples=0, rng=0, root=None,
             report.add_exact(f"inclusion det vs oracle [{name}]", brute, det_prob, 1e-9)
     # negative association, determinants only
     if len(all_edges) >= 2:
-        p12 = _tree_edge_probability(e, all_edges[:2], root=root)
-        p1 = _tree_edge_probability(e, [all_edges[0]], root=root)
-        p2 = _tree_edge_probability(e, [all_edges[1]], root=root)
+        (_, _, p1), (_, _, p2), (_, _, p12) = named_sets
         report.add_bool(
             "negative association (det)", p12 <= p1 * p2 + 1e-12,
             residual=p12 - p1 * p2, tol=1e-12,
         )
     g_values = {edge: 0.3 + 0.1 * i for i, edge in enumerate(all_edges)}
-    K_all = transfer_matrix(e, all_edges, root=root).K
     d = np.sqrt(
         np.array(
             [e.C[e.index[x], e.index[y]] * (1 - np.exp(-g_values[(x, y)])) for x, y in all_edges]
         )
     )
-    laplace_exact = float(np.linalg.det(np.eye(len(all_edges)) - d[:, None] * K_all * d[None, :]))
+    laplace_exact = float(np.linalg.det(np.eye(len(all_edges)) - d[:, None] * tm.K * d[None, :]))
     if n_samples > 0:
         counts = Counter()
-        incl = np.zeros(len(edge_sets))
+        incl = np.zeros(len(named_sets))
         lap = np.empty(n_samples)
         for s in range(n_samples):
             tree, _ = wilson_sample(e, gen, root=root)
             counts[tree.key()] += 1
-            for ti, edges in enumerate(edge_sets):
+            for ti, (_, edges, _) in enumerate(named_sets):
                 if all(tree.contains_edge(a, b) for a, b in edges):
                     incl[ti] += 1
             lap[s] = np.exp(
@@ -509,12 +508,12 @@ def verify_transfer_current(e, edge_sets=None, n_samples=0, rng=0, root=None,
     return report.finalize(t0)
 
 
-def _walk_to_absorption(e, table, start, gen, max_steps=10**7):
+def _walk_to_absorption(e, table, start, gen):
     """Vertex indices of a walk from the index start until killed; table is
     _step_table(e)."""
     cdf, column = table
     path = [start]
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         u = path[-1]
         nxt = column[u][_draw(gen, cdf[u])]
         if nxt == e.n:
@@ -624,13 +623,13 @@ def verify_reflection_positivity(e, rho, partition=None, counterexample_sets=Non
     ]
     if plus_edges:
         m = len(plus_edges)
+        # one transfer matrix: the plus edges, then their mirrors
+        tm = transfer_matrix(et, plus_edges + [(rho[x], rho[y]) for x, y in plus_edges])
+        singles = [_inclusion_probability(et, tm, [a]) for a in range(m)]
         Kcov = np.empty((m, m))
-        singles = [_tree_edge_probability(et, [edge]) for edge in plus_edges]
-        for a, ea in enumerate(plus_edges):
-            for b, eb in enumerate(plus_edges):
-                mirrored = (rho[eb[0]], rho[eb[1]])
-                pab = _tree_edge_probability(et, [ea, mirrored])
-                Kcov[a, b] = pab - singles[a] * singles[b]
+        for a in range(m):
+            for b in range(m):
+                Kcov[a, b] = _inclusion_probability(et, tm, [a, m + b]) - singles[a] * singles[b]
         cov_eigs = np.linalg.eigvalsh((Kcov + Kcov.T) / 2)
         report.add_bool(
             "tree-inclusion covariance nonpositive definite",

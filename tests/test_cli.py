@@ -161,7 +161,6 @@ def test_non_finite_graph_exit_two(tmp_path, capsys, doc):
         ["wilson", "k4_rooted.json", "--root", "q"],
         ["zeta", "cube.json", "--u-grid", "abc"],
         ["sample", "p2.json", "--alpha", "nan"],
-        ["sample", "p2.json", "--k-cap", "1"],
         ["verify", "energy_variation", "--graph", "p2.json", "--alpha", "nan", "-n", "10"],
         ["mu", "p2.json", "--set", "x", "--alpha", "nan"],
         ["mu", "k4c1.json", "--k-cap", "-1"],

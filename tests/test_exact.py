@@ -171,6 +171,15 @@ def test_partition_ratio_killing_increase(p2):
     assert ratio.imag == pytest.approx(0.0, abs=1e-12)
 
 
+def test_unknown_root_is_named(k4_rooted):
+    # without the root check, the chain "killed at zz" keeps every vertex and
+    # is recurrent, so the error would blame the chain, not the root
+    with pytest.raises(GraphError, match="unknown root 'zz'"):
+        enumerate_spanning_trees(k4_rooted, root="zz")
+    with pytest.raises(GraphError, match="unknown root 'zz'"):
+        ls.transfer_matrix(k4_rooted, [("a", "b")], root="zz")
+
+
 def test_green_requires_transient(k4_rooted):
     with pytest.raises(GraphError):
         ls.green(k4_rooted)
@@ -255,8 +264,10 @@ def test_disconnected_recurrent_form_raises_graph_error():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_green_chi_rejects_non_finite(p2, bad):
-    with pytest.raises(GraphError, match="finite"):
-        ls.green_chi(p2, np.array([bad, 0.0]))
+    # occupation_laplace checks chi with the same helper
+    for call in (ls.green_chi, lambda e, chi: ls.occupation_laplace(e, 1.0, chi)):
+        with pytest.raises(GraphError, match="finite"):
+            call(p2, np.array([bad, 0.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

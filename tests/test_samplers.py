@@ -121,14 +121,14 @@ def test_floor_keeps_small_odd_diagonals(L, chord):
     assert [sampler.sample(gen) for _ in range(2000)] == [ref.sample(ref_gen) for _ in range(2000)]
 
 
-@pytest.mark.parametrize("name,k_cap", [("p2", None), ("p2", 16), ("k4c1", None), ("k4c1", 64)])
-def test_dropped_mass_is_the_length_tail(name, k_cap):
+@pytest.mark.parametrize("name", ["p2", "k4c1"])
+def test_dropped_mass_is_the_length_tail(name):
     e = _form(name)
-    sampler = ls.PointedLoopSampler(e, k_cap)
+    sampler = ls.PointedLoopSampler(e)
     K = sampler.k_cap
     brute = sum(np.trace(np.linalg.matrix_power(e.P, k)) / k for k in range(K + 1, 4 * K + 1))
     assert sampler.dropped_mass == pytest.approx(brute, rel=1e-12, abs=0)
-    ens = ls.sample_loop_soup(e, 1.0, ls.RngStream(0), k_cap=k_cap)
+    ens = ls.sample_loop_soup(e, 1.0, ls.RngStream(0))
     assert (ens.k_cap, ens.dropped_mass) == (K, sampler.dropped_mass)
 
 
@@ -154,18 +154,16 @@ def test_loop_sampler_is_memoised_per_form_and_cap(k4c1, monkeypatch):
     built = []
     init = ls.PointedLoopSampler.__init__
 
-    def counting_init(self, e, k_cap=None):
-        built.append(k_cap)
-        init(self, e, k_cap)
+    def counting_init(self, e):
+        built.append(e)
+        init(self, e)
 
     monkeypatch.setattr(ls.PointedLoopSampler, "__init__", counting_init)
     ls.sample_loop_soup(k4c1, 1.0, ls.RngStream(0))
     ls.sample_loop_soup(k4c1, 1.0, ls.RngStream(1))
-    _soup_occupations(k4c1, 1.0, ls.RngStream(2).generator, 10)
-    assert built == [None]
-    ls.sample_loop_soup(k4c1, 1.0, ls.RngStream(0), k_cap=32)
-    ls.sample_loop_soup(k4c1, 1.0, ls.RngStream(1), k_cap=32)
-    assert built == [None, 32]
+    ls.sample_pointed_loop(k4c1, ls.RngStream(2))
+    _soup_occupations(k4c1, 1.0, ls.RngStream(3).generator, 10)
+    assert built == [k4c1]
 
 
 def test_memoised_loop_sampler_does_not_keep_its_form_alive():
@@ -343,12 +341,6 @@ def test_wilson_step_table_built_once_per_form(k4c1):
 def test_wilson_requires_root_when_recurrent(k4_rooted):
     with pytest.raises(GraphError):
         ls.wilson_sample(k4_rooted, ls.RngStream(0))
-
-
-@pytest.mark.parametrize("k_cap", [0, 1])
-def test_k_cap_below_two_rejected(p2, k_cap):
-    with pytest.raises(GraphError, match="k_cap"):
-        ls.PointedLoopSampler(p2, k_cap=k_cap)
 
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf])
