@@ -161,6 +161,8 @@ def cmd_verify(args):
         root = None if e.transient else e.vertices[0]
         report = verify_transfer_current(e, n_samples=n, rng=rng, root=root, fixture=args.graph)
     elif suite == "loop_erasure":
+        if e.n < 2:
+            raise GraphError("loop_erasure needs at least two vertices")
         x, y = e.vertices[0], e.vertices[1]
         report = verify_loop_erasure(e, x, y, n_samples=n, rng=rng, fixture=args.graph)
     elif suite == "reflection":

@@ -99,13 +99,17 @@ def _factor(e):
     return R
 
 
+def _logdet_green(e):
+    """log det G = -2 sum log R_ii, from the Cholesky factor R alone."""
+    return -2.0 * float(np.log(np.diagonal(_factor(e))).sum())
+
+
 def green(e):
     """Green function G = (M_lambda - C)^{-1} of a transient chain, from its
-    Cholesky factor R: log det G = -2 sum log R_ii, and LAPACK potri fills
+    Cholesky factor R: log det G is _logdet_green, and LAPACK potri fills
     one triangle of G, mirrored into the other.  The caller owns G."""
-    R = _factor(e)
-    logdet_G = -2.0 * float(np.log(np.diagonal(R)).sum())
-    G = dpotri(R.T)[0].T  # potri on the upper factor R.T: G is C-ordered, lower triangle set
+    logdet_G = _logdet_green(e)
+    G = dpotri(_factor(e).T)[0].T  # potri on the upper factor R.T: G is C-ordered, lower triangle set
     for j in range(e.n - 1):
         G[j, j + 1 :] = G[j + 1 :, j]
     # log det(I-P) = log det(M_lambda - C) - sum log lambda

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import _chi_form, _logdet_posdef, green, hitting_kernel
+from .exact import _chi_form, _logdet_green, _logdet_posdef, green, hitting_kernel
 from .graph import GraphError, _register_sizes
 
 __all__ = [
@@ -222,7 +222,7 @@ def occupation_laplace(e, alpha, chi):
     sq = np.sqrt(chi)
     A = np.eye(e.n) + sq[:, None] * bundle.G * sq[None, :]
     v1 = float(np.exp(-alpha * _logdet_posdef(A)))
-    v2 = float(np.exp(alpha * (green(e_chi).logdet_G - bundle.logdet_G)))
+    v2 = float(np.exp(alpha * (_logdet_green(e_chi) - bundle.logdet_G)))
     if abs(v1 - v2) > 1e-9 * max(1.0, abs(v1)):
         raise GraphError("Laplace transform determinant forms disagree")
     return v1

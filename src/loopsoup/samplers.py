@@ -9,10 +9,10 @@ gen.random() and a binary search in a cumulative table.  The tables are
 normalised as Generator.choice normalises its own, so a step consumes the
 same draw and returns the same index as gen.choice(n, p=row), draw for
 draw.  The pointed-loop sampler's length and base-point tables come from
-one eigendecomposition and, like the walk table of Wilson's algorithm,
-are built once per form; a bridge's rows are built once per bridge; only
-the pointed-loop step conditioned on the loop's base point and length is
-built at each step, from Krylov columns P^m e_base taken per loop.
+one eigendecomposition per form, its conditioned step from Krylov columns
+P^m e_base taken per loop.  Every walk that must end reads one _step_table
+per form and target; bridges and absorbed walks step it in _walk, and
+Wilson's algorithm and loop_erase share one loop erasure, _erase.
 
 The free field needs no Green matrix: with M_lambda - C = R R^T (Cholesky),
 phi = R^{-T} z for z standard normal has covariance
@@ -162,31 +162,58 @@ def _sparse_cdfs(M):
     column = np.zeros(weights.shape, dtype=int)
     column[rows, slot] = cols
     cdf = np.cumsum(weights, axis=1)
-    cdf /= cdf[:, -1:]
+    np.divide(cdf, cdf[:, -1:], out=cdf, where=cdf[:, -1:] > 0)  # rows of no weight stay 0
     return cdf, column.tolist()
 
 
-_STEP_TABLES = weakref.WeakKeyDictionary()
+_STEP_TABLES = weakref.WeakKeyDictionary()  # form -> {target: table}
 
 
-def _step_table(e):
-    """Jump law of the chain as _sparse_cdfs rows of [P | kappa/lambda]:
-    column n is the cemetery.
+def _step_table(e, target=None):
+    """Jump law of the chain as (cdf, column, V): _sparse_cdfs rows, built
+    once per form and target (the form's arrays are read-only).
 
-    Built once per form (its C, kappa, lambda and P are read-only), after
-    checking that every walk ends: on a transient form each component
+    No target: rows of [P | kappa/lambda], column n the cemetery, V None,
+    after checking that every walk ends: on a transient form each component
     holds a killed vertex, and a recurrent form (walked to a root) is
-    connected.
+    connected.  Target y: V = (I-P)^{-1} e_y = lambda_y G e_y, one solve
+    with the Cholesky factor, and row u the bridge step P^u_z V^z / sum_z
+    P^u_z V^z; a row of no weight (another component, a vertex with no
+    edges) stays empty, and no bridge enters it.
     """
-    table = _STEP_TABLES.get(e)
+    tables = _STEP_TABLES.setdefault(e, {})
+    table = tables.get(target)
     if table is None:
-        n_comp, labels = connected_components(csr_array(e.C), directed=False)
-        if e.transient and np.unique(labels[e.kappa > 0]).size < n_comp:
-            raise GraphError("some component is never killed: its walks never end")
-        if not e.transient and n_comp > 1:
-            raise GraphError("recurrent chain is disconnected: some walks never reach the root")
-        table = _STEP_TABLES[e] = _sparse_cdfs(np.hstack([e.C, e.kappa[:, None]]) / e.lam[:, None])
+        if target is None:
+            n_comp, labels = connected_components(csr_array(e.C), directed=False)
+            if e.transient and np.unique(labels[e.kappa > 0]).size < n_comp:
+                raise GraphError("some component is never killed: its walks never end")
+            if not e.transient and n_comp > 1:
+                raise GraphError("recurrent chain is disconnected: some walks never reach the root")
+            V = None
+            M = np.hstack([e.C, e.kappa[:, None]]) / e.lam[:, None]
+        else:
+            V = np.zeros(e.n)
+            V[target] = e.lam[target]
+            V = dpotrs(_factor(e).T, V)[0]  # LAPACK potrs on the upper factor R.T, no copy of R
+            M = e.P * V
+            w = M.sum(axis=1, keepdims=True)
+            np.divide(M, w, out=M, where=w > 0)
+        table = tables[target] = (*_sparse_cdfs(M), V)
     return table
+
+
+def _walk(gen, table, start, stop=None):
+    """Walk on a _step_table from the index start until it enters stop or the
+    cemetery column: the indices visited before that, and the one that ended it."""
+    cdf, column, _ = table
+    path = [start]
+    for _ in range(MAX_STEPS):
+        nxt = column[path[-1]][_draw(gen, cdf[path[-1]])]
+        if nxt == stop or nxt == len(cdf):
+            return path, nxt
+        path.append(nxt)
+    raise GraphError("walk failed to end")
 
 
 class PointedLoopSampler:
@@ -314,7 +341,7 @@ def sample_loop_soup(e, alpha, rng):
     sampler = _loop_sampler(e)
     n_loops = gen.poisson(alpha * sampler.total)
     loops = [sampler.sample(gen) for _ in range(n_loops)]
-    trivial = np.array([gen.gamma(alpha, 1.0 / l) for l in e.lam])
+    trivial = gen.gamma(alpha, 1.0 / e.lam)
     return LoopEnsemble(e.vertices, alpha, loops, trivial, sampler.k_cap, sampler.dropped_mass)
 
 
@@ -333,30 +360,22 @@ MAX_STEPS = 10**7
 
 def sample_bridge(e, x, y, rng):
     """Bridge from x to y: at u, stop with probability delta_{u,y}/V^u_y,
-    else move to z with probability P^u_z V^z_y / V^u_y (V = (I-P)^{-1} =
-    G M_lambda: V_y = lambda_y G e_y is one solve with the Cholesky factor).
-    Holding times exp(1)/lambda at every position including the last."""
+    else move to z with probability P^u_z V^z_y / V^u_y (the _step_table of
+    target y), so the stop test is drawn at each arrival at y, between
+    excursions.  Holding times exp(1)/lambda at every position, the last too."""
     if not e.transient:
         raise GraphError("bridge sampling requires a transient chain")
     gen = as_generator(rng)
     i, j = e.index[x], e.index[y]
-    Vj = np.zeros(e.n)
-    Vj[j] = e.lam[j]
-    Vj = dpotrs(_factor(e).T, Vj)[0]  # LAPACK potrs on the upper factor R.T, no copy of R
-    if Vj[i] <= 0:
+    table = _step_table(e, j)
+    V = table[2]
+    if V[i] <= 0:
         raise GraphError(f"{y!r} unreachable from {x!r}")
-    cdfs = {}  # row u of the h-transformed step law, built on first visit
-    seq = [i]
-    for _ in range(MAX_STEPS):
-        u = seq[-1]
-        if u == j and gen.random() < 1.0 / Vj[u]:
-            break
-        if u not in cdfs:
-            w = e.P[u, :] * Vj
-            cdfs[u] = _cdf(w / w.sum())
-        seq.append(_draw(gen, cdfs[u]))
-    else:
-        raise GraphError("bridge failed to terminate")
+    seq, u = [], i
+    while not (u == j and gen.random() < 1.0 / V[j]):
+        path, u = _walk(gen, table, u, j)
+        seq += path
+    seq.append(j)
     taus = gen.standard_exponential(len(seq)) / e.lam[seq]
     return BridgePath(tuple(seq), tuple(taus.tolist()))
 
@@ -389,20 +408,24 @@ def wick_power(gxx, value, n):
     return gxx ** (n / 2.0) * eval_hermitenorm(n, np.asarray(value) / s)
 
 
+def _erase(path):
+    """Progressive loop erasure by position: the positions the self-avoiding
+    path keeps (a revisit keeps the later visit), and the positions of each
+    erased loop, in the order the loops close."""
+    kept, at, loops = [], {}, []
+    for t, v in enumerate(path):
+        i = at.get(v, len(kept))
+        if i < len(kept) and path[kept[i]] == v:  # else v is new, or erased since
+            loops.append(kept[i:])
+            del kept[i:]
+        at[v] = len(kept)
+        kept.append(t)
+    return kept, loops
+
+
 def loop_erase(path):
-    """Progressive erasure of based sub-loops from the origin; returns a
-    self-avoiding path."""
-    out = []
-    pos = {}
-    for v in path:
-        if v in pos:
-            for w in out[pos[v] + 1 :]:
-                del pos[w]
-            del out[pos[v] + 1 :]
-        else:
-            pos[v] = len(out)
-            out.append(v)
-    return out
+    """Self-avoiding path left by progressive erasure (_erase) of a path."""
+    return [path[t] for t in _erase(path)[0]]
 
 
 def wilson_sample(e, rng, root=None):
@@ -421,44 +444,27 @@ def wilson_sample(e, rng, root=None):
         raise GraphError("root only applies to recurrent chains")
     if not e.transient and root is None:
         raise GraphError("recurrent chain needs an explicit root")
-    cdf, column = _step_table(e)
+    cdf, column, _ = _step_table(e)
     in_tree = np.zeros(n, dtype=bool)
-    parent = {}
-    trivial = np.zeros(n)
-    erased = []
+    parent, erased, trivial = {}, [], np.zeros(n)
     if root is not None:
         in_tree[e.indices([root])] = True
     for start in range(n):
         if in_tree[start]:
             continue
-        stack = [(start, float(gen.standard_exponential()) / e.lam[start])]
-        pos = {start: 0}
-        terminal = None
+        path, taus = [start], [float(gen.standard_exponential()) / e.lam[start]]
         while True:
-            u = stack[-1][0]
-            nxt = column[u][_draw(gen, cdf[u])]
+            nxt = column[path[-1]][_draw(gen, cdf[path[-1]])]
             if nxt == n or in_tree[nxt]:
-                terminal = None if nxt == n else nxt
                 break
-            tau = float(gen.standard_exponential()) / e.lam[nxt]
-            if nxt in pos:
-                i = pos[nxt]
-                cycle = stack[i:]
-                erased.append(PointedLoop(tuple(v for v, _ in cycle), tuple(t for _, t in cycle)))
-                for v, _ in cycle:
-                    del pos[v]
-                del stack[i:]
-            stack.append((nxt, tau))
-            pos[nxt] = len(stack) - 1
-        for idx_in_stack, (v, tau) in enumerate(stack):
-            nxt_v = (
-                stack[idx_in_stack + 1][0]
-                if idx_in_stack + 1 < len(stack)
-                else terminal
-            )
-            parent[e.vertices[v]] = e.vertices[nxt_v] if nxt_v is not None else None
+            path.append(nxt)
+            taus.append(float(gen.standard_exponential()) / e.lam[nxt])
+        kept, loops = _erase(path)
+        for loop in loops:
+            erased.append(PointedLoop(tuple([path[t] for t in loop]), tuple([taus[t] for t in loop])))
+        branch = [path[t] for t in kept] + [nxt]  # ends in the tree or at the cemetery n
+        for v, w, t in zip(branch, branch[1:], kept):
+            parent[e.vertices[v]] = None if w == n else e.vertices[w]
             in_tree[v] = True
-            trivial[v] = tau
-    tree = SpanningTree(parent, root)
-    ensemble = LoopEnsemble(e.vertices, 1.0, erased, trivial)
-    return tree, ensemble
+            trivial[v] = taus[t]
+    return SpanningTree(parent, root), LoopEnsemble(e.vertices, 1.0, erased, trivial)

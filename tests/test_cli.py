@@ -102,6 +102,22 @@ def test_verify_pass_exit_zero(fixture_dir, capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("graph", ["v1", "single_edge"])
+def test_verify_transfer_current_one_tree(fixture_dir, capsys, graph):
+    # one spanning tree: an exact check, not a chi-square over one cell
+    code, out, _ = run(
+        capsys, "verify", "transfer_current", "--graph", str(fixture_dir / f"{graph}.json"),
+        "-n", "200", "--json",
+    )
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    doc = json.loads(out, parse_constant=reject)
+    assert doc["passed"] and "every tree is the only tree" in [c["name"] for c in doc["checks"]]
+
+
 def test_verify_json_output(fixture_dir, capsys):
     code, out, _ = run(
         capsys, "verify", "zeta", "--graph", str(fixture_dir / "k4_rooted.json"), "--json"
@@ -165,6 +181,7 @@ def test_non_finite_graph_exit_two(tmp_path, capsys, doc):
         ["mu", "p2.json", "--set", "x", "--alpha", "nan"],
         ["mu", "k4c1.json", "--k-cap", "-1"],
         ["mu", "k4c1.json", "--k-cap", "-3"],
+        ["verify", "loop_erasure", "--graph", "v1.json"],
     ],
 )
 def test_bad_argument_exit_two(fixture_dir, capsys, argv):

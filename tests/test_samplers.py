@@ -5,12 +5,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import killed_box
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from test_exact import _two_edges
 
 import loopsoup as ls
 from loopsoup.graph import GraphError
 from loopsoup.loops import PointedLoop
-from loopsoup.samplers import _cdf, _draw, _step_table, _tail_mass, wick_power
+from loopsoup.samplers import _cdf, _draw, _erase, _step_table, _tail_mass, wick_power
 from loopsoup.verify import _soup_occupations
 
 
@@ -208,6 +211,18 @@ def test_bridge_deterministic_and_ends(p2):
     assert b.vertices == b2.vertices and b.taus == b2.taus
 
 
+def test_bridge_skips_rows_of_no_weight():
+    # a bridge a -> b never enters c or d: their rows of the table are
+    # empty, built with no RuntimeWarning (an error in this suite)
+    e = _two_edges([1.0, 1.0, 1.0, 1.0])
+    b = ls.sample_bridge(e, "a", "b", ls.RngStream(0))
+    assert set(b.vertices) <= {0, 1} and b.vertices[-1] == 1
+    cdf, _, V = _step_table(e, 1)
+    assert V[2] == V[3] == 0 and not cdf[2:].any()
+    with pytest.raises(GraphError, match="unreachable"):
+        ls.sample_bridge(e, "a", "c", ls.RngStream(0))
+
+
 def test_bridge_endpoint_law(k4c1):
     # P(bridge a->b is the single step (a,b)) = P^a_b / V^{a,b}
     V = np.linalg.inv(np.eye(4) - k4c1.P)
@@ -290,6 +305,32 @@ def test_loop_erase():
     assert ls.loop_erase(["a"]) == ["a"]
 
 
+def _stack_erase(path):
+    # Wilson's former inline erasure: a stack of positions and a map from
+    # each stack vertex to its place, cut back to a revisited vertex
+    stack, pos, loops = [], {}, []
+    for t, v in enumerate(path):
+        if v in pos:
+            i = pos[v]
+            loops.append(stack[i:])
+            for s in stack[i:]:
+                del pos[path[s]]
+            del stack[i:]
+        stack.append(t)
+        pos[v] = len(stack) - 1
+    return stack, loops
+
+
+@given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_erase_matches_the_stack_erasure(path):
+    kept, loops = _erase(path)
+    assert (kept, loops) == _stack_erase(path)
+    assert ls.loop_erase(path) == [path[t] for t in kept]
+    # every position is kept or erased exactly once
+    assert sorted(kept + [t for loop in loops for t in loop]) == list(range(len(path)))
+
+
 def test_wilson_deterministic(k4c1):
     t1, e1 = ls.wilson_sample(k4c1, ls.RngStream(2))
     t2, e2 = ls.wilson_sample(k4c1, ls.RngStream(2))
@@ -335,7 +376,9 @@ def test_wilson_erased_soup_network(k4c1):
 
 
 def test_wilson_step_table_built_once_per_form(k4c1):
-    assert _step_table(k4c1) is _step_table(k4c1)
+    # the walk table, and a bridge table per target
+    for target in (None, 1):
+        assert _step_table(k4c1, target) is _step_table(k4c1, target)
 
 
 def test_wilson_requires_root_when_recurrent(k4_rooted):
