@@ -66,13 +66,13 @@ class TransferMatrix:
 
 
 def _logdet_posdef(A):
-    """log det A of a real or Hermitian matrix whose determinant must be
-    real and positive; GraphError otherwise (singular, sign not 1, NaN)."""
+    """log det A of a real or Hermitian matrix (or of each of a stack) whose
+    determinant must be real and positive; GraphError otherwise."""
     with np.errstate(invalid="ignore"):
         sign, logdet = np.linalg.slogdet(A)
     # a NaN sign or log-det fails this test; rounding leaves the sign of a
     # Hermitian positive definite matrix within 1e-8 of 1
-    if not (abs(sign - 1) < 1e-8 and np.isfinite(logdet)):
+    if not np.all((abs(sign - 1) < 1e-8) & np.isfinite(logdet)):
         raise GraphError("matrix is numerically singular or not positive definite")
     return logdet
 

@@ -3,12 +3,13 @@
 IZ(u) = (1-u^2)^{-chi} det(I - uA + u^2(D-I))^{-1} with chi = |E|-|X|,
       = det(I - uQ)^{-1} for the non-backtracking line-graph operator Q,
       = exp(sum_m N_m u^m / m) with N_m the number of tailless geodesic
-        based loops of length m.
+        based loops of length m; the oracle counts them by dynamic programming.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .graph import GraphError
 
@@ -107,37 +108,39 @@ def _round_counts(values, what):
 
 
 def non_backtracking_counts(e, m_max):
-    """Exhaustive counts of geodesic based loops.
+    """Counts of geodesic based loops, by dynamic programming.
 
     L_m counts closed walks of length m with no backtrack at interior
     steps; N_m additionally excludes walks with a tail (last step equal to
-    the reverse of the first).  Serves as the oracle for zeta_ihara.
+    the reverse of the first).  state[r, f] counts the non-backtracking
+    walks from oriented edge r to f; each product with the successor matrix
+    adds a step.  Coded apart from line_graph_operator, it is the oracle
+    for zeta_ihara.  GraphError if a count overflows int64.
     """
+    if m_max < 0:
+        raise GraphError(f"series length m_max = {m_max} is negative")
     if m_max > ENUM_M_MAX_GUARD:
         raise GraphError(f"m_max {m_max} exceeds enumeration guard {ENUM_M_MAX_GUARD}")
     A = _adjacency(e)
-    neighbors = [np.nonzero(A[i])[0].tolist() for i in range(e.n)]
-    N = [0] * (m_max + 1)
-    L = [0] * (m_max + 1)
-
-    def walk(base, first, prev, cur, depth):
-        for nxt in neighbors[cur]:
-            if nxt == prev:
-                continue
-            d = depth + 1
-            if nxt == base and d >= 2:
-                L[d] += 1
-                # tailless: the step into the base must not reverse the
-                # first step of the walk
-                if cur != first:
-                    N[d] += 1
-            if d < m_max:
-                walk(base, first, cur, nxt, d)
-
-    for base in range(e.n):
-        for start in neighbors[base]:
-            walk(base, start, base, start, 1)
-    return N[1:], L[1:]
+    tails, heads = np.nonzero(A)
+    # S[f, g] = 1 for f = (x, y) and g = (y, z) with z != x
+    S = sparse.csr_array((heads[:, None] == tails) & (tails[:, None] != heads), dtype=np.int64)
+    # walks r...f that close at the base of r; the tail ones have f = reverse of r
+    rows, cols = np.nonzero(tails[:, None] == heads)
+    tailed = heads[rows] == tails[cols]
+    N, L = [0] * m_max, [0] * m_max
+    state = np.eye(len(tails), dtype=np.int64)
+    for m in range(2, m_max + 1):
+        if not state.any():
+            break
+        state = state @ S
+        # bounds the sums below and the next push, whose entries each add
+        # at most d_max - 1 <= len(rows) entries of this state
+        if int(state.max()) * len(rows) >= 2**63:
+            raise GraphError(f"geodesic walk counts of length {m} overflow int64")
+        L[m - 1] = int(state[rows, cols].sum())
+        N[m - 1] = L[m - 1] - int(state[rows[tailed], cols[tailed]].sum())
+    return N, L
 
 
 def _u_max(e):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -190,6 +191,52 @@ def test_hit_avoid_single_point(p2):
 def test_hit_avoid_rejects_non_finite_alpha(p2, alpha):
     with pytest.raises(GraphError, match="alpha"):
         ls.mu_hit_avoid(p2, ["x"], [], alpha=alpha)
+
+
+def hit_avoid_reference(e, hit, avoid):
+    """Reference mass: one log-determinant per subset of hit, in
+    itertools.combinations order."""
+    universe = [v for v in e.vertices if v not in set(avoid)]
+    mass = 0.0
+    for r in range(len(hit) + 1):
+        for S in itertools.combinations(hit, r):
+            keep = e.indices([v for v in universe if v not in set(S)])
+            if len(keep):
+                sub = e.P[np.ix_(keep, keep)]
+                mass += (-1) ** r * -np.linalg.slogdet(np.eye(len(keep)) - sub)[1]
+    return max(mass, 0.0)
+
+
+@pytest.mark.parametrize("n_hit", [0, 1, 4, 12])
+@pytest.mark.parametrize("n_avoid", [0, 1, 4])
+def test_hit_avoid_equals_reference(n_hit, n_avoid):
+    # (12, 4): the 12 hit vertices are all the vertices not avoided
+    e = ls.load_energy_form(ls.fixture("counterexample"))
+    order = np.random.default_rng(7 * n_hit + n_avoid).permutation(e.n)
+    hit = [e.vertices[i] for i in order[:n_hit]]
+    avoid = [e.vertices[i] for i in order[e.n - n_avoid:]]
+    mass, prob = ls.mu_hit_avoid(e, hit, avoid, alpha=0.5)
+    assert mass == hit_avoid_reference(e, hit, avoid)
+    assert prob == float(np.exp(-0.5 * mass))
+
+
+@pytest.mark.parametrize("hit, avoid", [(["x", "y"], []), (["x"], ["y"])])
+def test_hit_avoid_hit_set_covers_the_rest(p2, hit, avoid):
+    mass, _ = ls.mu_hit_avoid(p2, hit, avoid)
+    assert mass == hit_avoid_reference(p2, hit, avoid)
+
+
+def test_hit_avoid_errors(p2, k4_rooted):
+    cex = ls.load_energy_form(ls.fixture("counterexample"))
+    with pytest.raises(GraphError, match="hit and avoid sets overlap"):
+        ls.mu_hit_avoid(p2, ["x"], ["x", "y"])
+    with pytest.raises(GraphError, match="hit set size 13 exceeds guard 12"):
+        ls.mu_hit_avoid(cex, cex.vertices[:13], [])
+    for hit in (["a"], []):
+        with pytest.raises(GraphError, match="recurrent chain is infinite"):
+            ls.mu_hit_avoid(k4_rooted, hit, [])
+    mass, _ = ls.mu_hit_avoid(k4_rooted, ["a"], ["b"])
+    assert mass == hit_avoid_reference(k4_rooted, ["a"], ["b"])
 
 
 def test_hit_avoid_additivity(k4c1):

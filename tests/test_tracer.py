@@ -39,3 +39,21 @@ def test_tracer_counts_the_sampler_layer():
         assert counts[key] > 0, key
     assert originals == (ls.sample_loop_soup, ls.samplers.sample_bridge, ls.wilson_sample,
                          PointedLoopSampler.__dict__["__init__"], PointedLoopSampler.__dict__["sample"])
+
+
+def test_tracer_counts_the_zeta_layer():
+    e = ls.load_energy_form(ls.fixture("cube"))
+    tracer = tracer_mod.Tracer(ls)
+    tracer.install()
+    try:
+        tracer.begin("batch")
+        ls.verify.verify_zeta(e, m_max=8)
+        spans, counts = tracer.spans, tracer.counts
+        tracer.end()
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[rec[0]] for rec in spans]
+    assert "zeta.non_backtracking_counts" in names
+    _, L = ls.non_backtracking_counts(e, 8)
+    assert counts["zeta.walks"] == sum(L) > 0
+    assert tracer_mod.segment_metrics(tracer.names, spans, counts)["zeta.enum_s"] > 0
