@@ -260,12 +260,14 @@ def mu_hit_avoid(e, hit, avoid=(), alpha=1.0):
     of hit, by inclusion-exclusion over subsets of hit; and the Poisson
     probability exp(-alpha * mass) that the soup contains no such loop.
     Subsets of one size share one stacked log-det.  The terms cancel, so a
-    small mass is good to about 1e-6 relative.  A recurrent form with
-    nothing avoided has infinite mass: GraphError.
+    small mass is good to about 1e-6 relative.  A repeated hit vertex
+    counts once.  A recurrent form with nothing avoided has infinite
+    mass: GraphError.
 
     Returns (mass, probability).
     """
-    hit, avoid = list(hit), list(avoid)
+    # repeated hit vertices cancel in the inclusion-exclusion
+    hit, avoid = list(dict.fromkeys(hit)), list(avoid)
     if set(hit) & set(avoid):
         raise GraphError("hit and avoid sets overlap")
     if len(hit) > HIT_GUARD:

@@ -40,6 +40,15 @@ def test_mu(fixture_dir, capsys):
     assert doc["no_such_loop_probability"] == pytest.approx(0.75)
 
 
+def test_mu_repeated_hit_vertex(fixture_dir, capsys):
+    code, out, _ = run(capsys, "mu", str(fixture_dir / "counterexample.json"), "--set", "a", "a", "b")
+    assert code == 0
+    doc = json.loads(out)
+    e = ls.load_energy_form(str(fixture_dir / "counterexample.json"))
+    assert doc["hit"] == ["a", "a", "b"]
+    assert doc["mass"] == ls.mu_hit_avoid(e, ["a", "b"])[0]
+
+
 def test_mu_zero_k_cap_enumerates_nothing(fixture_dir, capsys):
     code, out, _ = run(capsys, "mu", str(fixture_dir / "k4c1.json"), "--k-cap", "0")
     assert code == 0

@@ -226,6 +226,15 @@ def test_hit_avoid_hit_set_covers_the_rest(p2, hit, avoid):
     assert mass == hit_avoid_reference(p2, hit, avoid)
 
 
+@pytest.mark.parametrize("name, hit", [("p2", ["x", "x", "y"]), ("counterexample", ["a", "a", "b"])])
+def test_hit_avoid_repeated_hit_vertex_counts_once(name, hit):
+    # the reference sums every subset, repeats included, and they cancel
+    e = ls.load_energy_form(ls.fixture(name))
+    mass, _ = ls.mu_hit_avoid(e, hit, [])
+    assert mass == pytest.approx(hit_avoid_reference(e, hit, []), rel=1e-9, abs=1e-12)
+    assert mass == ls.mu_hit_avoid(e, list(dict.fromkeys(hit)), [])[0]
+
+
 def test_hit_avoid_errors(p2, k4_rooted):
     cex = ls.load_energy_form(ls.fixture("counterexample"))
     with pytest.raises(GraphError, match="hit and avoid sets overlap"):
