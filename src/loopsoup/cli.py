@@ -48,6 +48,15 @@ def _emit(args, payload, text=None):
         print(out)
 
 
+def nonnegative_int(raw):
+    """Type of every -n/--samples option: a nonnegative integer, else a
+    usage error (exit 2)."""
+    n = int(raw)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
 def _parse_chi(e, raw):
     try:
         doc = json.loads(raw)
@@ -220,20 +229,20 @@ def build_parser():
     p = sub.add_parser("sample")
     common(p)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("-n", "--samples", type=int, default=1)
+    p.add_argument("-n", "--samples", type=nonnegative_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("wilson")
     common(p)
-    p.add_argument("-n", "--samples", type=int, default=1)
+    p.add_argument("-n", "--samples", type=nonnegative_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--root", default=None)
     p.set_defaults(func=cmd_wilson)
 
     p = sub.add_parser("gff")
     common(p)
-    p.add_argument("-n", "--samples", type=int, default=1)
+    p.add_argument("-n", "--samples", type=nonnegative_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--complex", action="store_true")
     p.set_defaults(func=cmd_gff)
@@ -248,7 +257,7 @@ def build_parser():
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--graph", required=True)
     common(p, graph=False)
-    p.add_argument("-n", "--samples", type=int, default=0)
+    p.add_argument("-n", "--samples", type=nonnegative_int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--m-max", type=int, default=8)

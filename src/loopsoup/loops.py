@@ -116,13 +116,25 @@ def spectral_radius(e):
     return float(np.max(np.abs(np.linalg.eigvalsh(S))))
 
 
+def _geometric_tail(n, rho, k):
+    """Geometric tail bound n rho^(k+1) / ((k+1)(1-rho)) >= sum_{m>k} n rho^m / m,
+    for 0 <= rho < 1."""
+    return n * rho ** (k + 1) / ((k + 1) * (1 - rho))
+
+
+def _check_alpha(alpha):
+    """GraphError unless alpha is a soup intensity: finite and nonnegative."""
+    if not 0 <= alpha < np.inf:
+        raise GraphError("alpha must be finite and nonnegative")
+
+
 def enumeration_tail_bound(e, k_max):
     if k_max < 0:
         raise GraphError(f"enumeration length {k_max} is negative")
     rho = spectral_radius(e)
     if rho >= 1:
         raise GraphError("tail bound needs a transient chain")
-    return e.n * rho ** (k_max + 1) / ((k_max + 1) * (1 - rho))
+    return _geometric_tail(e.n, rho, k_max)
 
 
 def enumerate_loops(e, k_max):
@@ -272,8 +284,7 @@ def mu_hit_avoid(e, hit, avoid=(), alpha=1.0):
         raise GraphError("hit and avoid sets overlap")
     if len(hit) > HIT_GUARD:
         raise GraphError(f"hit set size {len(hit)} exceeds guard {HIT_GUARD}")
-    if not np.isfinite(alpha):
-        raise GraphError("alpha must be finite")
+    _check_alpha(alpha)
     hit_idx, avoid_idx = e.indices(hit).tolist(), set(e.indices(avoid).tolist())
     if not avoid and not e.transient:
         raise GraphError("loop mass of a recurrent chain is infinite: avoid some vertex")
@@ -288,10 +299,10 @@ def mu_hit_avoid(e, hit, avoid=(), alpha=1.0):
     return mass, float(np.exp(-alpha * mass))
 
 
-def cross_hitting_series(e, F1, F2, k_max=64):
+def cross_hitting_series(e, F1, F2):
     """mu(loops meeting both F1 and F2) as the balayage-trace series
-    sum_k Tr((H12 H21)^k)/k, with its geometric tail bound and the
-    log-determinant reference value.
+    sum_k Tr((H12 H21)^k)/k for k <= 64, with its geometric tail bound and
+    the log-determinant reference value.
 
     Returns (partial_sum, tail_bound, logdet_value).
     """
@@ -308,12 +319,12 @@ def cross_hitting_series(e, F1, F2, k_max=64):
     q = float(np.linalg.norm(M, 2))
     total = 0.0
     power = np.eye(M.shape[0])
-    for k in range(1, k_max + 1):
+    for k in range(1, 65):
         power = power @ M
         total += np.trace(power) / k
     if q >= 1:
         raise GraphError("balayage product is not a contraction")
-    tail = min(M.shape) * q ** (k_max + 1) / ((k_max + 1) * (1 - q))
+    tail = _geometric_tail(min(M.shape), q, 64)
     # inclusion-exclusion reference: mu(hit F1 and F2)
     masses = []
     for drop in [(), F1, F2, F1 + F2]:

@@ -11,8 +11,12 @@ same draw and returns the same index as gen.choice(n, p=row), draw for
 draw.  The pointed-loop sampler's length and base-point tables come from
 one eigendecomposition per form, its conditioned step from Krylov columns
 P^m e_base taken per loop.  Every walk that must end reads one _step_table
-per form and target; bridges and absorbed walks step it in _walk, and
-Wilson's algorithm and loop_erase share one loop erasure, _erase.
+per form and target and steps it in _walk, the one step loop of Wilson's
+branches, bridge excursions and absorbed walks: it stops on entering a
+vertex flagged in a stop list (the tree, the bridge target, or none) or
+the cemetery column, within MAX_STEPS steps.  Holding times are drawn per
+walk, after it stops.  Wilson's algorithm and loop_erase share one loop
+erasure, _erase.
 
 The free field needs no Green matrix: with M_lambda - C = R R^T (Cholesky),
 phi = R^{-T} z for z standard normal has covariance
@@ -38,7 +42,7 @@ from scipy.special import eval_hermitenorm
 
 from .exact import _factor
 from .graph import GraphError
-from .loops import PointedLoop, mu_nontrivial_total
+from .loops import PointedLoop, _check_alpha, _geometric_tail, mu_nontrivial_total
 from .rng import as_generator
 
 __all__ = [
@@ -203,16 +207,22 @@ def _step_table(e, target=None):
     return table
 
 
-def _walk(gen, table, start, stop=None):
-    """Walk on a _step_table from the index start until it enters stop or the
-    cemetery column: the indices visited before that, and the one that ended it."""
+# step bound of every walk that must end (a Wilson branch, a bridge excursion,
+# a walk to the cemetery)
+MAX_STEPS = 10**7
+
+
+def _walk(gen, table, start, stop):
+    """Walk on a _step_table from the index start until it enters a vertex
+    flagged in the list stop, or the cemetery column: the indices visited
+    before that, and the one that ended it.  GraphError after MAX_STEPS."""
     cdf, column, _ = table
-    path = [start]
+    u, path, cemetery = start, [start], len(cdf)
     for _ in range(MAX_STEPS):
-        nxt = column[path[-1]][_draw(gen, cdf[path[-1]])]
-        if nxt == stop or nxt == len(cdf):
-            return path, nxt
-        path.append(nxt)
+        u = column[u][_draw(gen, cdf[u])]
+        if u == cemetery or stop[u]:
+            return path, u
+        path.append(u)
     raise GraphError("walk failed to end")
 
 
@@ -251,7 +261,7 @@ class PointedLoopSampler:
         if not rho < 1:
             raise GraphError("loop sampling requires spectral radius below 1")
         k_cap = 8
-        while e.n * rho ** (k_cap + 1) / ((k_cap + 1) * (1 - rho)) > 1e-12 * self.total:
+        while _geometric_tail(e.n, rho, k_cap) > 1e-12 * self.total:
             k_cap *= 2
             if k_cap > 1 << 16:
                 raise GraphError("length cap growth failed")
@@ -334,8 +344,7 @@ def sample_loop_soup(e, alpha, rng):
     """Poisson ensemble L_alpha: Poisson(alpha mu(p>1)) nontrivial loops
     plus Gamma(alpha, rate lambda_x) aggregated trivial occupation."""
     gen = as_generator(rng)
-    if not 0 <= alpha < np.inf:
-        raise GraphError("alpha must be finite and nonnegative")
+    _check_alpha(alpha)
     if alpha == 0:
         return LoopEnsemble(e.vertices, 0.0, [], np.zeros(e.n))
     sampler = _loop_sampler(e)
@@ -354,10 +363,6 @@ class BridgePath:
     taus: tuple
 
 
-# step bound of every walk that must end (a bridge, a walk to the cemetery)
-MAX_STEPS = 10**7
-
-
 def sample_bridge(e, x, y, rng):
     """Bridge from x to y: at u, stop with probability delta_{u,y}/V^u_y,
     else move to z with probability P^u_z V^z_y / V^u_y (the _step_table of
@@ -371,9 +376,9 @@ def sample_bridge(e, x, y, rng):
     V = table[2]
     if V[i] <= 0:
         raise GraphError(f"{y!r} unreachable from {x!r}")
-    seq, u = [], i
+    seq, u, stop = [], i, [v == j for v in range(e.n)]
     while not (u == j and gen.random() < 1.0 / V[j]):
-        path, u = _walk(gen, table, u, j)
+        path, u = _walk(gen, table, u, stop)
         seq += path
     seq.append(j)
     taus = gen.standard_exponential(len(seq)) / e.lam[seq]
@@ -433,10 +438,12 @@ def wilson_sample(e, rng, root=None):
     tree, together with the ensemble of erased loops.
 
     Transient chains are rooted at the cemetery (root=None in the tree);
-    recurrent chains need an explicit root vertex.  Every walk visit
-    carries an exp(1)/lambda holding time; erased visits accumulate into
-    the erased loops, the surviving visit of each tree vertex becomes its
-    trivial occupation.
+    recurrent chains need an explicit root vertex.  Each branch is a _walk
+    from the least vertex not yet in the tree until it enters the tree or
+    the cemetery; its visits get exp(1)/lambda holding times, drawn in one
+    call after the walk stops.  Erased visits accumulate into the erased
+    loops, the surviving visit of each tree vertex becomes its trivial
+    occupation.
     """
     gen = as_generator(rng)
     n = e.n
@@ -444,21 +451,16 @@ def wilson_sample(e, rng, root=None):
         raise GraphError("root only applies to recurrent chains")
     if not e.transient and root is None:
         raise GraphError("recurrent chain needs an explicit root")
-    cdf, column, _ = _step_table(e)
-    in_tree = np.zeros(n, dtype=bool)
+    table, lam = _step_table(e), e.lam.tolist()
+    in_tree = [False] * n
     parent, erased, trivial = {}, [], np.zeros(n)
     if root is not None:
-        in_tree[e.indices([root])] = True
+        in_tree[e.indices([root])[0]] = True
     for start in range(n):
         if in_tree[start]:
             continue
-        path, taus = [start], [float(gen.standard_exponential()) / e.lam[start]]
-        while True:
-            nxt = column[path[-1]][_draw(gen, cdf[path[-1]])]
-            if nxt == n or in_tree[nxt]:
-                break
-            path.append(nxt)
-            taus.append(float(gen.standard_exponential()) / e.lam[nxt])
+        path, nxt = _walk(gen, table, start, in_tree)
+        taus = [t / lam[v] for v, t in zip(path, gen.standard_exponential(len(path)).tolist())]
         kept, loops = _erase(path)
         for loop in loops:
             erased.append(PointedLoop(tuple([path[t] for t in loop]), tuple([taus[t] for t in loop])))

@@ -21,6 +21,8 @@ from scipy import stats as sstats
 from .exact import _logdet_posdef, _omega_matrix, green, partition_ratio, transfer_matrix
 from .graph import EnergyForm, GraphError, restrict, trace_on
 from .loops import (
+    _check_alpha,
+    _geometric_tail,
     alpha_permanent,
     enumerate_loops,
     mu_hit_avoid,
@@ -102,10 +104,9 @@ class VerificationReport:
                   se=float(se), z=float(z))
         )
 
-    def add_pvalue(self, name, p, threshold=1e-3):
+    def add_pvalue(self, name, p):
         self.checks.append(
-            Check(name, "pvalue", p_value=float(p), tol=threshold,
-                  passed=bool(p > threshold))
+            Check(name, "pvalue", p_value=float(p), tol=1e-3, passed=bool(p > 1e-3))
         )
 
     def add_bool(self, name, ok, residual=None, tol=None):
@@ -175,6 +176,7 @@ def _soup_occupations(e, alpha, gen, n_samples):
     """Per-sample soup statistics of n_samples independent soups:
     occupation fields, visit counts and the (sample, vertex, successor)
     index arrays of every loop position, in sampling order."""
+    _check_alpha(alpha)
     sampler = _loop_sampler(e)
     counts = gen.poisson(alpha * sampler.total, n_samples)
     occ = gen.gamma(alpha, 1.0 / e.lam, size=(n_samples, e.n))
@@ -530,8 +532,8 @@ def verify_loop_erasure(e, x, y, n_samples=0, rng=0, fixture="?"):
             f"bridge erasure TV distance ({len(law)} paths)", tv < 0.01,
             residual=tv, tol=0.01,
         )
-        table = _step_table(e)
-        hits = sum(loop_erase(_walk(gen, table, i)[0]) == [i] for _ in range(n_samples))
+        table, nowhere = _step_table(e), [False] * e.n  # the walk ends only at the cemetery
+        hits = sum(loop_erase(_walk(gen, table, i, nowhere)[0]) == [i] for _ in range(n_samples))
         freq = hits / n_samples
         se = np.sqrt(p_direct * (1 - p_direct) / n_samples)
         report.add_stat("P(erased walk goes straight to cemetery)", p_direct, freq, se)
@@ -754,7 +756,7 @@ def verify_zeta(e, m_max=8, fixture="?"):
     for u, izv, izl, izs in zr.grid:
         report.add_exact(f"IZ({u:.3f}) vertex vs line formula", izv, izl, 1e-9)
         s = u * rho_q
-        tail = np.exp(2 * Q.shape[0] * s ** (m_max + 1) / ((m_max + 1) * (1 - s))) - 1 if s < 1 else np.inf
+        tail = np.exp(_geometric_tail(2 * Q.shape[0], s, m_max)) - 1 if s < 1 else np.inf
         report.add_bool(
             f"IZ({u:.3f}) series within truncation bound",
             abs(izs / izv - 1) <= tail + 1e-9,
@@ -763,15 +765,14 @@ def verify_zeta(e, m_max=8, fixture="?"):
     return report.finalize(t0)
 
 
-def verify_occupation_marginals(e, alpha_list=(0.5, 1.0, 2.0), n_samples=0,
-                                rng=0, fixture="?"):
+def verify_occupation_marginals(e, n_samples=0, rng=0, fixture="?"):
     """Gamma marginals, geometric visit counts and the renormalized-power
-    orthogonality, exact and sampled."""
+    orthogonality, exact and sampled, at alpha = 0.5, 1 and 2."""
     t0, gen, report = _suite("occupation", fixture, n_samples, rng)
     G = green(e).G
     x, y = e.vertices[0], e.vertices[min(1, e.n - 1)]
     i, j = e.index[x], e.index[y]
-    for alpha in alpha_list:
+    for alpha in (0.5, 1.0, 2.0):
         for k, l in [(1, 1), (1, 2), (2, 2)]:
             exact = exact_orth_covariance(e, x, y, k, l, alpha)
             report.add_exact(
@@ -779,7 +780,7 @@ def verify_occupation_marginals(e, alpha_list=(0.5, 1.0, 2.0), n_samples=0,
                 exact, 1e-9,
             )
     if n_samples > 0:
-        for alpha in alpha_list:
+        for alpha in (0.5, 1.0, 2.0):
             occ, visits, _ = _soup_occupations(e, alpha, gen, n_samples)
             ks = sstats.kstest(occ[:, i], "gamma", args=(alpha, 0.0, G[i, i]))
             report.add_pvalue(f"KS L-hat^{x} vs Gamma({alpha}, G^xx)", ks.pvalue)

@@ -191,6 +191,8 @@ def test_non_finite_graph_exit_two(tmp_path, capsys, doc):
         ["mu", "k4c1.json", "--k-cap", "-1"],
         ["mu", "k4c1.json", "--k-cap", "-3"],
         ["verify", "loop_erasure", "--graph", "v1.json"],
+        ["verify", "energy_variation", "--graph", "p2.json", "--alpha", "-1", "-n", "10"],
+        ["mu", "p2.json", "--set", "x", "--alpha", "-1"],
     ],
 )
 def test_bad_argument_exit_two(fixture_dir, capsys, argv):
@@ -199,6 +201,26 @@ def test_bad_argument_exit_two(fixture_dir, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "p2.json", "-n", "-2"],
+        ["wilson", "k4c1.json", "-n", "-3"],
+        ["gff", "p2.json", "-n", "-1"],
+        ["verify", "dynkin", "--graph", "k4c1.json", "-n", "-5"],
+    ],
+    ids=["sample", "wilson", "gff", "verify"],
+)
+def test_negative_sample_count_is_a_usage_error(fixture_dir, capsys, argv):
+    argv = [str(fixture_dir / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "-n/--samples: " + argv[-1] + " is negative" in err and "Traceback" not in err
 
 
 def test_usage_error_exit_two():

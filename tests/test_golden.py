@@ -142,10 +142,10 @@ GOLDEN = {
     ("verify_occupation_p2", 1): "3328d0d091fb98d3988e7c790a75f22f27e27f72a685f9e543e167a846437f73",
     ("verify_zeta_cube", 0): "3b96219d7b23ce82fa7cebd0843de1656e3a9380bfec466634c704f7fa56035a",
     ("verify_zeta_cube", 1): "bb66dcf618a8c8adc15d990fc40171f9d14cf73b19deabddf27fac87a32afd64",
-    ("wilson_k4_rooted", 0): "0d8c39495b33e6ddf5b6e89f7adcb5938bba9ff216ef40bcb3c4d9fb1a47befb",
-    ("wilson_k4_rooted", 1): "59851b57118e5b44b973158afd3decbdf0948e3f17195ca1ce4299e02ac0355d",
-    ("wilson_k4c1", 0): "a6a88bbd14e55a1d384a8a242d12e622fc93732d60e6e8cf9a35cecea18a2da8",
-    ("wilson_k4c1", 1): "251d4e27f8f875955b1ff94942fd42a5163136961f0b8c3e99be79645ddb1f1a",
+    ("wilson_k4_rooted", 0): "98c16c09c92929dc7417c4fa2035f1482b1a2f4965edb603c2572ba90869c5d6",
+    ("wilson_k4_rooted", 1): "a9f81871965952ad58ec85b02a418219fc24d925574bdb9339ad672424269ac9",
+    ("wilson_k4c1", 0): "831d5e9b64aa77ce3c37b228109080ef6966d2c1d2210a1605f0e16216f1f388",
+    ("wilson_k4c1", 1): "569bc3b79f39064717db690ba87c78a0406d113c2ac564aadb3828a3013d3903",
 }
 
 

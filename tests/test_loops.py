@@ -193,6 +193,12 @@ def test_hit_avoid_rejects_non_finite_alpha(p2, alpha):
         ls.mu_hit_avoid(p2, ["x"], [], alpha=alpha)
 
 
+def test_hit_avoid_rejects_negative_alpha(p2):
+    # exp(-alpha * mass) would be a "probability" above 1
+    with pytest.raises(GraphError, match="alpha must be finite and nonnegative"):
+        ls.mu_hit_avoid(p2, ["x"], [], alpha=-1.0)
+
+
 def hit_avoid_reference(e, hit, avoid):
     """Reference mass: one log-determinant per subset of hit, in
     itertools.combinations order."""

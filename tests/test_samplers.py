@@ -11,9 +11,10 @@ from scipy import stats
 from test_exact import _two_edges
 
 import loopsoup as ls
+from loopsoup import samplers
 from loopsoup.graph import GraphError
 from loopsoup.loops import PointedLoop
-from loopsoup.samplers import _cdf, _draw, _erase, _step_table, _tail_mass, wick_power
+from loopsoup.samplers import _cdf, _draw, _erase, _step_table, _tail_mass, _walk, wick_power
 from loopsoup.verify import _soup_occupations
 
 
@@ -379,6 +380,35 @@ def test_wilson_step_table_built_once_per_form(k4c1):
     # the walk table, and a bridge table per target
     for target in (None, 1):
         assert _step_table(k4c1, target) is _step_table(k4c1, target)
+
+
+def test_walk_stops_on_a_flagged_vertex_or_the_cemetery():
+    # a chain 0 -> 1 -> 2 -> cemetery (column 3), one entry per row
+    table = (np.ones((3, 1)), [[1], [2], [3]], None)
+    gen = ls.RngStream(0).generator
+    assert _walk(gen, table, 0, [False] * 3) == ([0, 1, 2], 3)
+    assert _walk(gen, table, 0, [False, False, True]) == ([0, 1], 2)
+    assert _walk(gen, table, 0, [False, True, True]) == ([0], 1)
+
+
+def test_walk_never_visits_a_flagged_vertex(k4c1):
+    table, gen = _step_table(k4c1), ls.RngStream(4).generator
+    stop = [False, False, True, False]
+    for _ in range(200):
+        path, end = _walk(gen, table, 0, stop)
+        assert 2 not in path and end in (2, k4c1.n)
+
+
+def test_walk_fails_to_end_within_the_step_bound(k4_rooted, monkeypatch):
+    # a recurrent form's table has an empty cemetery column: with nothing
+    # flagged, no walk ends
+    monkeypatch.setattr(samplers, "MAX_STEPS", 50)
+    with pytest.raises(GraphError, match="walk failed to end"):
+        _walk(ls.RngStream(0).generator, _step_table(k4_rooted), 0, [False] * 4)
+    # Wilson's branches walk under the same bound
+    monkeypatch.setattr(samplers, "MAX_STEPS", 0)
+    with pytest.raises(GraphError, match="walk failed to end"):
+        ls.wilson_sample(k4_rooted, ls.RngStream(0), root="a")
 
 
 def test_wilson_requires_root_when_recurrent(k4_rooted):

@@ -124,6 +124,11 @@ def test_energy_variation_rejects_bigger_conductance(p2):
         ls.verify_energy_variation(p2, e2)
 
 
+def test_soup_statistics_reject_negative_alpha(p2):
+    with pytest.raises(GraphError, match="alpha must be finite and nonnegative"):
+        _soup_occupations(p2, -1.0, ls.RngStream(0).generator, 10)
+
+
 def test_zeta_suite(k4_rooted, cube):
     _assert_all_pass(ls.verify_zeta(k4_rooted, m_max=8))
     _assert_all_pass(ls.verify_zeta(cube, m_max=8))
