@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -12,10 +13,10 @@ import numpy as np
 
 from . import fixtures as fixture_mod
 from .exact import green, green_chi
-from .graph import GraphError, load_energy_form
+from .graph import EnergyForm, GraphError, load_energy_form
 from .loops import enumerate_loops, mu_hit_avoid, mu_nontrivial_total
 from .rng import RngStream
-from .samplers import sample_gff, sample_loop_soup, wilson_sample
+from .samplers import _soup_occupations, sample_gff, wilson_sample
 from .verify import (
     default_involution,
     verify_dynkin,
@@ -27,17 +28,6 @@ from .verify import (
     verify_zeta,
 )
 from .zeta import _u_max, zeta_ihara
-
-SUITES = (
-    "dynkin",
-    "transfer_current",
-    "loop_erasure",
-    "reflection",
-    "energy_variation",
-    "zeta",
-    "occupation",
-)
-
 
 def _emit(args, payload, text=None):
     out = json.dumps(payload, indent=2) if (args.json or text is None) else text
@@ -100,20 +90,12 @@ def cmd_mu(args):
 
 def cmd_sample(args):
     e = load_energy_form(args.graph)
-    rng = RngStream(args.seed)
-    summaries = []
+    batch = _soup_occupations(e, args.alpha, RngStream(args.seed).generator, args.samples)
+    samples = [{"n_loops": count, "occupation": dict(zip(e.vertices, occ))}
+               for count, occ in zip(batch.counts.tolist(), batch.occupation.tolist())]
     # every soup of one form shares one sampler, so one cap and one dropped mass
-    payload = {"alpha": args.alpha, "seed": args.seed, "k_cap": None, "dropped_mass": 0.0, "samples": summaries}
-    for _ in range(args.samples):
-        ens = sample_loop_soup(e, args.alpha, rng)
-        payload.update(k_cap=ens.k_cap, dropped_mass=ens.dropped_mass)
-        summaries.append(
-            {
-                "n_loops": len(ens.loops),
-                "occupation": dict(zip(e.vertices, ens.occupation().tolist())),
-            }
-        )
-    _emit(args, payload)
+    _emit(args, {"alpha": args.alpha, "seed": args.seed, "k_cap": batch.k_cap,
+                 "dropped_mass": batch.dropped_mass, "samples": samples})
     return 0
 
 
@@ -160,41 +142,43 @@ def cmd_zeta(args):
 
 def cmd_verify(args):
     e = load_energy_form(args.graph)
-    seed = args.seed
-    n = args.samples
-    rng = RngStream(seed)
-    suite = args.suite
-    if suite == "dynkin":
-        report = verify_dynkin(e, k=1, n_samples=n, rng=rng, fixture=args.graph)
-    elif suite == "transfer_current":
-        root = None if e.transient else e.vertices[0]
-        report = verify_transfer_current(e, n_samples=n, rng=rng, root=root, fixture=args.graph)
-    elif suite == "loop_erasure":
-        if e.n < 2:
-            raise GraphError("loop_erasure needs at least two vertices")
-        x, y = e.vertices[0], e.vertices[1]
-        report = verify_loop_erasure(e, x, y, n_samples=n, rng=rng, fixture=args.graph)
-    elif suite == "reflection":
-        rho = default_involution(e)
-        sets = None
-        if all(v in e.index for v in ("al", "be", "ga", "de")):
-            sets = (("al", "be"), ("ga", "de"))
-        report = verify_reflection_positivity(e, rho, counterexample_sets=sets, fixture=args.graph)
-    elif suite == "energy_variation":
-        from .graph import EnergyForm
-
-        kap = e.kappa.copy()
-        kap[0] += 1.0
-        e2 = EnergyForm(e.vertices, e.C, kap)
-        report = verify_energy_variation(e, e2, alpha=args.alpha, n_samples=n, rng=rng, fixture=args.graph)
-    elif suite == "zeta":
-        report = verify_zeta(e, m_max=args.m_max, fixture=args.graph)
-    elif suite == "occupation":
-        report = verify_occupation_marginals(e, n_samples=n, rng=rng, fixture=args.graph)
-    else:
-        raise GraphError(f"unknown suite {suite!r}")
+    sampled = {"n_samples": args.samples, "rng": RngStream(args.seed)} if "samples" in args else {}
+    report = args.run(e, args, fixture=args.graph, **sampled)
     _emit(args, report.to_dict(), report.table())
     return 0 if report.passed else 1
+
+
+def _transfer_current(e, args, **kw):
+    return verify_transfer_current(e, root=None if e.transient else e.vertices[0], **kw)
+
+
+def _loop_erasure(e, args, **kw):
+    if e.n < 2:
+        raise GraphError("loop_erasure needs at least two vertices")
+    return verify_loop_erasure(e, e.vertices[0], e.vertices[1], **kw)
+
+
+def _reflection(e, args, **kw):
+    sets = (("al", "be"), ("ga", "de")) if all(v in e.index for v in ("al", "be", "ga", "de")) else None
+    return verify_reflection_positivity(e, default_involution(e), counterexample_sets=sets, **kw)
+
+
+def _energy_variation(e, args, **kw):
+    kappa = e.kappa.copy()
+    kappa[0] += 1.0
+    return verify_energy_variation(e, EnergyForm(e.vertices, e.C, kappa), alpha=args.alpha, **kw)
+
+
+# verify suite: (runner, whether it samples)
+SUITES = {
+    "dynkin": (lambda e, args, **kw: verify_dynkin(e, k=1, **kw), True),
+    "transfer_current": (_transfer_current, True),
+    "loop_erasure": (_loop_erasure, True),
+    "reflection": (_reflection, False),
+    "energy_variation": (_energy_variation, True),
+    "zeta": (lambda e, args, **kw: verify_zeta(e, m_max=args.m_max, **kw), False),
+    "occupation": (lambda e, args, **kw: verify_occupation_marginals(e, **kw), True),
+}
 
 
 def cmd_fixtures(args):
@@ -203,6 +187,7 @@ def cmd_fixtures(args):
     return 0
 
 
+@functools.cache  # built once per process: main runs in-process many times (tests, benchmark)
 def build_parser():
     parser = argparse.ArgumentParser(prog="loopsoup")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -253,15 +238,17 @@ def build_parser():
     p.add_argument("--u-grid", default=None, help="comma separated u values")
     p.set_defaults(func=cmd_zeta)
 
-    p = sub.add_parser("verify")
-    p.add_argument("suite", choices=SUITES)
-    p.add_argument("--graph", required=True)
-    common(p, graph=False)
-    p.add_argument("-n", "--samples", type=nonnegative_int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--m-max", type=int, default=8)
-    p.set_defaults(func=cmd_verify)
+    suites = sub.add_parser("verify").add_subparsers(dest="suite", required=True)
+    for name, (run, sampled) in SUITES.items():
+        p = suites.add_parser(name)
+        p.add_argument("--graph", required=True)
+        common(p, graph=False)
+        if sampled:
+            p.add_argument("-n", "--samples", type=nonnegative_int, default=0)
+            p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(func=cmd_verify, run=run)
+    suites.choices["energy_variation"].add_argument("--alpha", type=float, default=1.0)
+    suites.choices["zeta"].add_argument("--m-max", type=int, default=8)
 
     p = sub.add_parser("fixtures")
     p.add_argument("-o", "--output", default=None)
@@ -270,14 +257,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
     try:
+        if unknown:  # an option the command does not take, such as --alpha on most suites
+            raise GraphError(f"unrecognized arguments: {' '.join(unknown)}")
         return args.func(args)
-    except GraphError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (GraphError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ import operator
 from collections.abc import Mapping
 
 import numpy as np
+from scipy.sparse import csgraph, csr_array
 
 __all__ = [
     "EnergyForm",
@@ -36,8 +37,9 @@ class GraphError(ValueError):
 class EnergyForm:
     """Immutable energy form: vertices, conductances C, killing kappa.
 
-    Derived attributes: lam (lambda vector), P (transition matrix, built on
-    first use), transient flag, and an index map from vertex name to position.
+    Derived attributes: lam (lambda vector), P (transition matrix) and
+    connected_components (both built on first use), transient flag, and an
+    index map from vertex name to position.
     """
 
     def __init__(self, vertices, C, kappa, validate=True, require_connected=True):
@@ -87,7 +89,7 @@ class EnergyForm:
         if validate and not np.all(np.isfinite(self.lam)):
             bad = self.vertices[int(np.argmin(np.isfinite(self.lam)))]
             raise GraphError(f"lambda overflows at vertex {bad!r}")
-        if validate and require_connected and not _connected(self.C):
+        if validate and require_connected and self.connected_components[0] > 1:
             raise GraphError("conductance graph is disconnected")
         self.lam.setflags(write=False)
         self.transient = bool(np.any(self.kappa > 0))
@@ -99,6 +101,11 @@ class EnergyForm:
         P = self.C / self.lam[:, None]
         P.setflags(write=False)
         return P
+
+    @functools.cached_property
+    def connected_components(self):
+        """(number, labels) of the conductance graph's connected components."""
+        return csgraph.connected_components(csr_array(self.C), directed=False)
 
     @property
     def n(self):
@@ -117,20 +124,6 @@ class EnergyForm:
 
     def __repr__(self):
         return f"EnergyForm(n={self.n}, transient={self.transient})"
-
-
-def _connected(C):
-    n = C.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        x = stack.pop()
-        for y in np.nonzero(C[x] > 0)[0]:
-            if not seen[y]:
-                seen[y] = True
-                stack.append(int(y))
-    return bool(seen.all())
 
 
 def load_energy_form(source):

@@ -21,23 +21,24 @@ erasure, _erase.
 The free field needs no Green matrix: with M_lambda - C = R R^T (Cholesky),
 phi = R^{-T} z for z standard normal has covariance
 R^{-T} R^{-1} = (M_lambda - C)^{-1} = G.  R is taken once per form
-(exact._factor) and shared by every field and bridge drawn on it.
+(exact._factor) and shared by every field and bridge drawn on it; _field
+is the one solve, for sample_gff and the Dynkin suite.
 
-Soup statistics are sums over loop positions: the occupation field, the
-visit counts N_x and the oriented traversal counts N_{x,y} of an ensemble
-(and the per-sample statistics of the verify suites) are each one
+_soups is the one soup draw; sample_loop_soup is a batch of one.  Soup
+statistics are sums over loop positions: the occupation field, the visit
+counts N_x and the oriented traversal counts N_{x,y} of an ensemble (and
+the per-soup statistics of a batch, _soup_occupations) are each one
 np.add.at or np.bincount over the flat arrays of _positions.
 """
 
 import weakref
 from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrs
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 from scipy.special import eval_hermitenorm
 
 from .exact import _factor
@@ -189,7 +190,7 @@ def _step_table(e, target=None):
     table = tables.get(target)
     if table is None:
         if target is None:
-            n_comp, labels = connected_components(csr_array(e.C), directed=False)
+            n_comp, labels = e.connected_components
             if e.transient and np.unique(labels[e.kappa > 0]).size < n_comp:
                 raise GraphError("some component is never killed: its walks never end")
             if not e.transient and n_comp > 1:
@@ -271,8 +272,10 @@ class PointedLoopSampler:
         wk = w ** k[:, None]
         UU = (U * U).T
         diag = wk @ UU  # row k: diag P^k
-        scale = np.abs(wk, out=wk) @ UU
-        del wk
+        scale = diag.copy()  # |w|^k = w^k bit for bit on even k
+        odd = wk[1::2]
+        scale[1::2] = np.abs(odd, out=odd) @ UU
+        del wk, odd
         zeroed = diag <= 1e-10 * scale
         lost = np.abs(diag, out=scale).sum(axis=1, where=zeroed)  # per length, the mass set to 0
         diag[zeroed] = 0.0
@@ -340,18 +343,53 @@ def sample_pointed_loop(e, rng):
     return _loop_sampler(e).sample(rng)
 
 
+def _soups(e, alpha, gen, n_samples):
+    """The one draw of n_samples independent soups L_alpha: the
+    Poisson(alpha mu(p>1)) loop counts, then the Gamma(alpha, rate
+    lambda_x) trivial occupations (n_samples x n), then a generator of the
+    loops of soup 0, soup 1, ...  The memoised sampler is taken only when a
+    loop can be drawn (alpha > 0 and the form has an edge).  Returns
+    ((k_cap, dropped_mass), counts, trivial, loops)."""
+    _check_alpha(alpha)
+    sampler = _loop_sampler(e) if alpha > 0 and e.C.any() else None
+    cap = (sampler.k_cap, sampler.dropped_mass) if sampler else (None, 0.0)
+    counts = gen.poisson(alpha * sampler.total if sampler else 0.0, n_samples)
+    trivial = gen.gamma(alpha, 1.0 / e.lam, size=(n_samples, e.n))
+    return cap, counts, trivial, (sampler.sample(gen) for _ in range(counts.sum()))
+
+
+class SoupBatch(NamedTuple):
+    """Per-soup statistics, row s for soup s: loop counts, occupation fields
+    and visit counts N_x, and the (sample, vertex, successor) of every loop
+    position, in sampling order."""
+
+    counts: np.ndarray
+    occupation: np.ndarray
+    visits: np.ndarray
+    positions: tuple
+    k_cap: int | None
+    dropped_mass: float
+
+
+def _soup_occupations(e, alpha, gen, n_samples):
+    """SoupBatch of n_samples soups drawn by _soups."""
+    cap, counts, occ, loops = _soups(e, alpha, gen, n_samples)
+    # the count array first: allocated before the draws, it leaves the lowest
+    # peak RSS when suites run repeatedly in one process
+    visits = np.zeros((n_samples, e.n), dtype=np.int64)
+    vertex, successor, tau, lengths = _positions(loops)
+    sample = np.repeat(np.repeat(np.arange(n_samples), counts), lengths)
+    np.add.at(occ, (sample, vertex), tau)
+    np.add.at(visits, (sample, vertex), 1)
+    return SoupBatch(counts, occ, visits, (sample, vertex, successor), *cap)
+
+
 def sample_loop_soup(e, alpha, rng):
     """Poisson ensemble L_alpha: Poisson(alpha mu(p>1)) nontrivial loops
-    plus Gamma(alpha, rate lambda_x) aggregated trivial occupation."""
-    gen = as_generator(rng)
-    _check_alpha(alpha)
-    if alpha == 0:
-        return LoopEnsemble(e.vertices, 0.0, [], np.zeros(e.n))
-    sampler = _loop_sampler(e)
-    n_loops = gen.poisson(alpha * sampler.total)
-    loops = [sampler.sample(gen) for _ in range(n_loops)]
-    trivial = gen.gamma(alpha, 1.0 / e.lam)
-    return LoopEnsemble(e.vertices, alpha, loops, trivial, sampler.k_cap, sampler.dropped_mass)
+    plus Gamma(alpha, rate lambda_x) aggregated trivial occupation, the
+    first soup of _soups."""
+    cap, _, trivial, loops = _soups(e, alpha, as_generator(rng), 1)
+    return LoopEnsemble(e.vertices, alpha, list(loops), trivial[0], *cap)
 
 
 @dataclass
@@ -394,16 +432,17 @@ def sample_gff(e, rng, complex_field=False):
     memoised exact._factor) and one triangular solve per real part.  G is
     never formed.
     """
-    R = _factor(e)
     gen = as_generator(rng)
-
-    def solve(z):
-        return solve_triangular(R, z, lower=True, trans="T", check_finite=False)
-
-    phi = solve(gen.standard_normal(e.n))
+    phi = _field(e, gen.standard_normal(e.n))
     if complex_field:
-        phi = phi + 1j * solve(gen.standard_normal(e.n))
+        phi = phi + 1j * _field(e, gen.standard_normal(e.n))
     return FieldSample(e.vertices, phi, complex_field)
+
+
+def _field(e, z):
+    """R^{-T} z: standard normal columns z give free-field columns, of
+    covariance G = (R R^T)^{-1}."""
+    return solve_triangular(_factor(e), z, lower=True, trans="T", check_finite=False)
 
 
 def wick_power(gxx, value, n):

@@ -21,7 +21,6 @@ from scipy import stats as sstats
 from .exact import _logdet_posdef, _omega_matrix, green, partition_ratio, transfer_matrix
 from .graph import EnergyForm, GraphError, restrict, trace_on
 from .loops import (
-    _check_alpha,
     _geometric_tail,
     alpha_permanent,
     enumerate_loops,
@@ -33,8 +32,8 @@ from .loops import (
 from .rng import as_generator
 from .samplers import (
     SpanningTree,
-    _loop_sampler,
-    _positions,
+    _field,
+    _soup_occupations,
     _step_table,
     _walk,
     loop_erase,
@@ -170,25 +169,6 @@ def _mean_se(values):
     values = np.asarray(values, dtype=float)
     n = len(values)
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-
-
-def _soup_occupations(e, alpha, gen, n_samples):
-    """Per-sample soup statistics of n_samples independent soups:
-    occupation fields, visit counts and the (sample, vertex, successor)
-    index arrays of every loop position, in sampling order."""
-    _check_alpha(alpha)
-    sampler = _loop_sampler(e)
-    counts = gen.poisson(alpha * sampler.total, n_samples)
-    occ = gen.gamma(alpha, 1.0 / e.lam, size=(n_samples, e.n))
-    # the count array first: allocated before the draws, it leaves the lowest
-    # peak RSS when suites run repeatedly in one process
-    visits = np.zeros((n_samples, e.n), dtype=np.int64)
-    loops = (sampler.sample(gen) for _ in range(counts.sum()))  # drawn in sample order
-    vertex, successor, tau, lengths = _positions(loops)
-    sample = np.repeat(np.repeat(np.arange(n_samples), counts), lengths)
-    np.add.at(occ, (sample, vertex), tau)
-    np.add.at(visits, (sample, vertex), 1)
-    return occ, visits, (sample, vertex, successor)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +371,7 @@ def verify_dynkin(e, k=1, n_samples=0, rng=0, fixture="?"):
     order 3, and the bridge identity at k=1."""
     t0, gen, report = _suite("dynkin", fixture, n_samples, rng)
     alpha = k / 2.0
-    bundle = green(e)
-    G = bundle.G
+    G = green(e).G
     verts = list(range(min(e.n, 2)))
     multisets = []
     for order in (1, 2, 3):
@@ -405,11 +384,10 @@ def verify_dynkin(e, k=1, n_samples=0, rng=0, fixture="?"):
         name = "E[" + " ".join(f"L^{e.vertices[i]}" for i in m) + "]"
         report.add_exact("isserlis_vs_permanent " + name, per, iss, 1e-9)
     if n_samples > 0:
-        occ, _, _ = _soup_occupations(e, alpha, gen, n_samples)
-        z = gen.standard_normal((n_samples, e.n, k))
-        Lf = np.linalg.cholesky(G)
-        phi = np.einsum("ij,sjk->sik", Lf, z)
-        w = 0.5 * (phi**2).sum(axis=2)
+        occ = _soup_occupations(e, alpha, gen, n_samples).occupation
+        z = gen.standard_normal((e.n, n_samples, k))
+        phi = _field(e, z.reshape(e.n, -1)).reshape(z.shape)  # phi[x, s, copy]
+        w = 0.5 * (phi**2).sum(axis=2).T
         for m in multisets:
             per = alpha_permanent(G[np.ix_(m, m)], alpha)
             name = " ".join(e.vertices[i] for i in m)
@@ -420,8 +398,8 @@ def verify_dynkin(e, k=1, n_samples=0, rng=0, fixture="?"):
         if k == 1 and e.n >= 2:
             x, y = e.vertices[0], e.vertices[1]
             chi = 0.4 + 0.1 * np.arange(e.n)
-            lhs_vals = phi[:, 0, 0] * phi[:, 1, 0] * np.exp(-w @ chi)
-            occ_half, _, _ = _soup_occupations(e, 0.5, gen, n_samples)
+            lhs_vals = phi[0, :, 0] * phi[1, :, 0] * np.exp(-w @ chi)
+            occ_half = _soup_occupations(e, 0.5, gen, n_samples).occupation
             bridge_f = np.empty(n_samples)
             for s in range(n_samples):
                 b = sample_bridge(e, x, y, gen)
@@ -664,7 +642,8 @@ def verify_energy_variation(e, e2=None, omega=None, alpha=1.0, n_samples=0,
             occupation_laplace(e, alpha, chi), ratio.real, 1e-12,
         )
     if n_samples > 0:
-        occ, _, (sample, vertex, successor) = _soup_occupations(e, alpha, gen, n_samples)
+        batch = _soup_occupations(e, alpha, gen, n_samples)
+        sample, vertex, successor = batch.positions
         logR = np.zeros((e.n, e.n))
         mask = e.C > 0
         logR[mask] = np.log(e2.C[mask] / e.C[mask])
@@ -672,7 +651,7 @@ def verify_energy_variation(e, e2=None, omega=None, alpha=1.0, n_samples=0,
         exponent = (
             np.bincount(sample, logR[vertex, successor], n_samples)
             + 1j * np.bincount(sample, W[vertex, successor], n_samples)
-            - occ @ dlam
+            - batch.occupation @ dlam
         )
         vals = np.exp(exponent)
         mr, sr = _mean_se(vals.real)
@@ -781,10 +760,13 @@ def verify_occupation_marginals(e, n_samples=0, rng=0, fixture="?"):
             )
     if n_samples > 0:
         for alpha in (0.5, 1.0, 2.0):
-            occ, visits, _ = _soup_occupations(e, alpha, gen, n_samples)
+            batch = _soup_occupations(e, alpha, gen, n_samples)
+            occ, visits = batch.occupation, batch.visits
             ks = sstats.kstest(occ[:, i], "gamma", args=(alpha, 0.0, G[i, i]))
             report.add_pvalue(f"KS L-hat^{x} vs Gamma({alpha}, G^xx)", ks.pvalue)
-            if alpha == 1.0:
+            if alpha == 1.0 and not e.C[i].any():  # a geometric law of one cell
+                report.add_bool("every N_x is 0 (no edge at x)", not visits[:, i].any())
+            elif alpha == 1.0:
                 p_geo = 1.0 / (e.lam[i] * G[i, i])
                 vals = visits[:, i] + 1
                 kmax = max(int(vals.max()), 2)

@@ -79,7 +79,9 @@ def test_gff(fixture_dir, capsys):
     assert set(doc["fields"][0]) == {"x", "y"}
 
 
-def test_gff_takes_one_factor(fixture_dir, capsys, monkeypatch):
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """Shapes of the matrices np.linalg.cholesky factors during the test."""
     calls = []
     cholesky = np.linalg.cholesky
 
@@ -88,10 +90,33 @@ def test_gff_takes_one_factor(fixture_dir, capsys, monkeypatch):
         return cholesky(A)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
+def test_gff_takes_one_factor(fixture_dir, capsys, cholesky_calls):
     code, out, _ = run(capsys, "gff", str(fixture_dir / "k4c1.json"), "-n", "5", "--seed", "3")
     assert code == 0
     assert len(json.loads(out)["fields"]) == 5
-    assert calls == [(4, 4)]
+    assert cholesky_calls == [(4, 4)]
+
+
+def test_dynkin_takes_one_factor(fixture_dir, capsys, cholesky_calls):
+    # the suite's free fields come from the form's factor, as in gff
+    code, _, _ = run(capsys, "verify", "dynkin", "--graph", str(fixture_dir / "k4c1.json"), "-n", "1000")
+    assert code == 0
+    assert cholesky_calls == [(4, 4)]
+
+
+def test_soups_without_edges(fixture_dir, capsys):
+    path = str(fixture_dir / "v1.json")
+    code, out, _ = run(capsys, "sample", path, "-n", "3", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert [s["n_loops"] for s in doc["samples"]] == [0, 0, 0] and doc["k_cap"] is None
+    assert all(s["occupation"]["x"] > 0 for s in doc["samples"])
+    for suite in ("dynkin", "energy_variation", "occupation"):
+        code, _, err = run(capsys, "verify", suite, "--graph", path, "-n", "300")
+        assert (code, err) == (0, ""), suite
 
 
 def test_zeta_trivial(fixture_dir, capsys):
@@ -193,6 +218,8 @@ def test_non_finite_graph_exit_two(tmp_path, capsys, doc):
         ["verify", "loop_erasure", "--graph", "v1.json"],
         ["verify", "energy_variation", "--graph", "p2.json", "--alpha", "-1", "-n", "10"],
         ["mu", "p2.json", "--set", "x", "--alpha", "-1"],
+        ["sample", "p2.json", "--alpha", "-1", "-n", "0"],
+        ["verify", "occupation", "--graph", "p2.json", "--alpha", "1"],
     ],
 )
 def test_bad_argument_exit_two(fixture_dir, capsys, argv):

@@ -14,6 +14,7 @@ import json
 import pytest
 
 import loopsoup as ls
+from loopsoup.cli import main
 
 
 def _form(name):
@@ -126,14 +127,14 @@ GOLDEN = {
     ("bridge_k4c1", 1): "692d946f06299c4e78d6e06d471513f4a2914d17d008a42dc08c7216cd6dd149",
     ("gff_p2", 0): "595a407abd49be5cd108077a76278ab483b4001d4ad251c606f6c31ac19bc625",
     ("gff_p2", 1): "1990bc0e487f978b40e9458ba856571ff612369c6dd57a01b1087c769b960449",
-    ("loop_soup_p2", 0): "c95898e7dd2365d7d6e4258310b2b026d1cbf814df68f6988729943c693086ae",
-    ("loop_soup_p2", 1): "e7f05e84cdb01de5f322745d8a3c3c542398e917eadca5d672c213029dd4901f",
+    ("loop_soup_p2", 0): "eab47745bf19386c33cef8d8206a0ed5ad703dce28d6802843e866789edf49cf",
+    ("loop_soup_p2", 1): "ecfa26ed54f744c9d25530854cd3cca2bc29b33eb325a13b7b66565697178721",
     ("pointed_loop_k4c1", 0): "6b13584d4ecc33eb6cab707fd3fe46b7053649402a4bdfde2b5c6a85f9c55253",
     ("pointed_loop_k4c1", 1): "7ee3659927e4c9199e4478f95937f52396ad8652705b210bc1942621e13fba97",
-    ("soup_stats_k4c1", 0): "40e8f8a8ed4ea9c28ff2c53e153d80f92be77f507a6bb0a1220027ea21dfec04",
-    ("soup_stats_k4c1", 1): "b817d324c16d32a0b51f77a69ce31e0e394dd04ddaeccc2576906df8b84daef0",
-    ("verify_dynkin_k4c1", 0): "7cdad647e55ebfbd4f5193f1484e90625a6239ae70cf0b3353ceb94202a2569f",
-    ("verify_dynkin_k4c1", 1): "695d28d90e80a9599250f50613e025a277259eb6ffb1d95f139b7a458b36291e",
+    ("soup_stats_k4c1", 0): "8990619205c2185317fca49166d2d39f7409b12a5bec1b8c0fc8725e696fc65e",
+    ("soup_stats_k4c1", 1): "f9f66caf3ec7db75809f8ccaecef4e6f01b4d56350907b333a374b1a2952dd25",
+    ("verify_dynkin_k4c1", 0): "d4a18067b5da1989c2e91e2d584aeab15ccff63563b2ccf7ef80eb59850d9af0",
+    ("verify_dynkin_k4c1", 1): "910c1bcac3b826c8dd55d2958fa802fc8bd563f77250c73d9047ab17ad62335d",
     ("verify_energy_variation_counterexample", 0): "13652b98a66e3cd86b4c452b95d87b074631e365220fc35021af7cc7199490ab",
     ("verify_energy_variation_counterexample", 1): "845ca986b39ee667adb2be603603d9f5217d12628a5ccfb89aca6de67f809fa1",
     ("verify_loop_erasure_k4c1", 0): "a45a2b487959801f9ffd6a09d70dda7239226c9fa41396dda22bcdff7edfd67e",
@@ -159,3 +160,13 @@ def _digest(rng, sample):
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
 def test_golden_digest(name, seed):
     assert _digest(ls.RngStream(seed), SAMPLERS[name]) == GOLDEN[name, seed]
+
+
+# stdout of `loopsoup sample k4c1.json -n 5 --seed 0 --json`
+CLI_SAMPLE_K4C1 = "2122a0f306713cbe23c59ae5133739ed04700e4430465c23a5ed07c80e9ebea3"
+
+
+def test_golden_cli_sample(tmp_path, capsys):
+    ls.write_fixtures(str(tmp_path))
+    assert main(["sample", str(tmp_path / "k4c1.json"), "-n", "5", "--seed", "0", "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLI_SAMPLE_K4C1

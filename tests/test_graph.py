@@ -81,6 +81,26 @@ def test_disconnected_rejected():
         ls.load_energy_form(doc)
 
 
+def test_connected_components_computed_once_per_form(monkeypatch):
+    # validation and the walk table of Wilson's algorithm read one cached labelling
+    calls = []
+    components = ls.graph.csgraph.connected_components
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return components(*args, **kwargs)
+
+    monkeypatch.setattr(ls.graph.csgraph, "connected_components", counted)
+    e = ls.load_energy_form(ls.fixture("k4c1"))
+    ls.wilson_sample(e, ls.RngStream(0))
+    n_comp, labels = e.connected_components
+    assert calls == [1] and n_comp == 1 and not labels.any()
+    C = np.zeros((3, 3))
+    C[0, 1] = C[1, 0] = 1.0
+    split = ls.EnergyForm(["a", "b", "c"], C, np.ones(3), require_connected=False)
+    assert split.connected_components[0] == 2 and len(calls) == 2
+
+
 def test_isolated_vertex_without_killing_rejected():
     doc = {"vertices": ["a"], "edges": [], "killing": {}}
     with pytest.raises(GraphError):

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import loopsoup as ls
 from loopsoup.graph import GraphError
-from loopsoup.samplers import _cdf, _draw, _sparse_cdfs
-from loopsoup.verify import _soup_occupations
+from loopsoup.samplers import _cdf, _draw, _soup_occupations, _sparse_cdfs
 
 from conftest import random_energy_form
 from test_loops import based_walk_loops
@@ -257,7 +256,8 @@ def test_soup_occupations_without_loops_are_the_gamma_draws(seed, n_samples):
     counts = twin.poisson(alpha * ls.mu_nontrivial_total(e), n_samples)
     assume(not counts.any())
     gamma = twin.gamma(alpha, 1.0 / e.lam, size=(n_samples, e.n))
-    occ, visits, positions = _soup_occupations(e, alpha, ls.RngStream(seed).generator, n_samples)
-    assert np.array_equal(occ, gamma)
-    assert not visits.any() and visits.shape == (n_samples, e.n)
-    assert all(len(index) == 0 for index in positions)
+    batch = _soup_occupations(e, alpha, ls.RngStream(seed).generator, n_samples)
+    assert np.array_equal(batch.occupation, gamma)
+    assert not batch.counts.any() and batch.counts.shape == (n_samples,)
+    assert not batch.visits.any() and batch.visits.shape == (n_samples, e.n)
+    assert all(len(index) == 0 for index in batch.positions)

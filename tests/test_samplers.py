@@ -14,8 +14,16 @@ import loopsoup as ls
 from loopsoup import samplers
 from loopsoup.graph import GraphError
 from loopsoup.loops import PointedLoop
-from loopsoup.samplers import _cdf, _draw, _erase, _step_table, _tail_mass, _walk, wick_power
-from loopsoup.verify import _soup_occupations
+from loopsoup.samplers import (
+    _cdf,
+    _draw,
+    _erase,
+    _soup_occupations,
+    _step_table,
+    _tail_mass,
+    _walk,
+    wick_power,
+)
 
 
 def test_rng_stream_reproducible():
@@ -203,6 +211,32 @@ def test_soup_traversal_mean(p2):
 def test_soup_alpha_zero(p2):
     ens = ls.sample_loop_soup(p2, 0.0, ls.RngStream(1))
     assert ens.loops == [] and np.all(ens.trivial == 0)
+
+
+@pytest.mark.parametrize("name,alpha", [("p2", 1.0), ("k4c1", 2.0), ("k4c1", 0.5), ("v1", 1.0), ("p2", 0.0)])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_loop_soup_is_the_first_soup_of_a_batch(name, alpha, seed):
+    e = _form(name)
+    rng, gen = ls.RngStream(seed), ls.RngStream(seed).generator
+    ens = ls.sample_loop_soup(e, alpha, rng)
+    batch = _soup_occupations(e, alpha, gen, 1)
+    _, vertex, successor = batch.positions
+    assert len(ens.loops) == batch.counts[0]
+    assert np.array_equal(ens.occupation(), batch.occupation[0])
+    assert np.array_equal(ens.visit_counts(), batch.visits[0])
+    assert np.array_equal(ens.traversals(), np.bincount(vertex * e.n + successor, minlength=e.n**2).reshape(e.n, e.n))
+    assert (ens.k_cap, ens.dropped_mass) == (batch.k_cap, batch.dropped_mass)
+    assert rng.generator.random() == gen.random()  # the same number of draws
+
+
+def test_soups_on_a_form_without_edges(v1):
+    # no nontrivial loop exists: the soups are their Gamma trivial occupations
+    ens = ls.sample_loop_soup(v1, 1.0, ls.RngStream(0))
+    assert ens.loops == [] and ens.trivial[0] > 0 and (ens.k_cap, ens.dropped_mass) == (None, 0.0)
+    batch = _soup_occupations(v1, 2.0, ls.RngStream(1).generator, 5)
+    gamma = ls.RngStream(1).generator.gamma(2.0, 1.0 / v1.lam, size=(5, 1))
+    assert np.array_equal(batch.occupation, gamma)
+    assert not batch.counts.any() and not batch.visits.any() and batch.k_cap is None
 
 
 def test_bridge_deterministic_and_ends(p2):

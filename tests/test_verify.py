@@ -6,7 +6,7 @@ import pytest
 import loopsoup as ls
 from loopsoup.exact import _omega_matrix
 from loopsoup.graph import EnergyForm, GraphError
-from loopsoup.verify import _soup_occupations
+from loopsoup.samplers import _soup_occupations
 
 
 def _assert_all_pass(report):
@@ -90,7 +90,8 @@ def test_energy_variation_exponent_matches_traversal_tensor(k4c1):
     C2[0, 1] = C2[1, 0] = 0.3 * k4c1.C[0, 1]
     e2 = EnergyForm(k4c1.vertices, C2, k4c1.lam - C2.sum(axis=1) + 0.05)
     n_samples, seed = 2000, 23
-    occ, _, (sample, vertex, successor) = _soup_occupations(k4c1, 1.0, ls.RngStream(seed).generator, n_samples)
+    batch = _soup_occupations(k4c1, 1.0, ls.RngStream(seed).generator, n_samples)
+    occ, (sample, vertex, successor) = batch.occupation, batch.positions
     trav = np.zeros((n_samples, k4c1.n, k4c1.n), dtype=np.int64)
     np.add.at(trav, (sample, vertex, successor), 1)
     mask = k4c1.C > 0
@@ -138,6 +139,13 @@ def test_occupation_suite(p2):
     # the Q-polynomial fourth-moment statistics are heavy-tailed; use a
     # sample size where the normal approximation of the gate is reliable
     _assert_all_pass(ls.verify_occupation_marginals(p2, n_samples=10000, rng=ls.RngStream(18)))
+
+
+def test_occupation_suite_without_edges(v1):
+    # N_x is 0 in every soup: an exact check, not a chi-square over one cell
+    r = ls.verify_occupation_marginals(v1, n_samples=500, rng=ls.RngStream(3))
+    _assert_all_pass(r)
+    assert "every N_x is 0 (no edge at x)" in [c.name for c in r.checks]
 
 
 def test_report_serialization(p2):
