@@ -94,6 +94,13 @@ def _energy_variation(rng):
     return _report(ls.verify_energy_variation(e, e2, n_samples=300, rng=rng))
 
 
+def _transfer_current(name, root):
+    def run(rng):
+        return _report(ls.verify_transfer_current(_form(name), n_samples=300, rng=rng, root=root))
+
+    return run
+
+
 def _zeta(rng):
     return _report(ls.verify_zeta(_form("cube")))
 
@@ -118,6 +125,8 @@ SAMPLERS = {
     "verify_occupation_p2": _occupation,
     "verify_dynkin_k4c1": _dynkin,
     "verify_energy_variation_counterexample": _energy_variation,
+    "verify_transfer_current_k4_rooted": _transfer_current("k4_rooted", "a"),
+    "verify_transfer_current_k4c1": _transfer_current("k4c1", None),
     "verify_zeta_cube": _zeta,
     "soup_stats_k4c1": _soup_stats,
 }
@@ -141,6 +150,10 @@ GOLDEN = {
     ("verify_loop_erasure_k4c1", 1): "aaca7c11d987b8190233b511066cda8e5e8451a8c07a06ffdfab5e8ed95c7f86",
     ("verify_occupation_p2", 0): "0b25b73a86b1b75c022ef1e51061ae96742d79e56f70131e0ac7043b5def471b",
     ("verify_occupation_p2", 1): "3328d0d091fb98d3988e7c790a75f22f27e27f72a685f9e543e167a846437f73",
+    ("verify_transfer_current_k4_rooted", 0): "b95bf86abedf23a4de0e34d463851bed5b46f4899b69923c7ef672dfb598a0f4",
+    ("verify_transfer_current_k4_rooted", 1): "61f9f6006a3b0bf06714306bedf03681102d93b85c72f1bb8ac44c88fb5c5019",
+    ("verify_transfer_current_k4c1", 0): "c5e8154f30246d20db719adcbbfc2c924106d8469fbb5e860a9a3d9b9b9ef4af",
+    ("verify_transfer_current_k4c1", 1): "b24ef2b77b79d9d05f0de42ca05c4881717cd07d8955720e4080ac33ead852d4",
     ("verify_zeta_cube", 0): "3b96219d7b23ce82fa7cebd0843de1656e3a9380bfec466634c704f7fa56035a",
     ("verify_zeta_cube", 1): "bb66dcf618a8c8adc15d990fc40171f9d14cf73b19deabddf27fac87a32afd64",
     ("wilson_k4_rooted", 0): "98c16c09c92929dc7417c4fa2035f1482b1a2f4965edb603c2572ba90869c5d6",
