@@ -271,9 +271,11 @@ def mu_hit_avoid(e, hit, avoid=(), alpha=1.0):
     """Mass of nontrivial loops contained in avoid^c visiting every vertex
     of hit, by inclusion-exclusion over subsets of hit; and the Poisson
     probability exp(-alpha * mass) that the soup contains no such loop.
-    Subsets of one size share one stacked log-det.  The terms cancel, so a
-    small mass is good to about 1e-6 relative.  A repeated hit vertex
-    counts once.  A recurrent form with nothing avoided has infinite
+    Subsets of one size share one stacked log-det.  The signed terms are
+    summed exactly (math.fsum), so the mass does not depend on the order
+    of hit; the terms cancel, and their own rounding, about eps * sum |term|,
+    still bounds the error of a small mass.  A repeated hit vertex counts
+    once.  A recurrent form with nothing avoided has infinite
     mass: GraphError.
 
     Returns (mass, probability).
@@ -289,13 +291,12 @@ def mu_hit_avoid(e, hit, avoid=(), alpha=1.0):
     if not avoid and not e.transient:
         raise GraphError("loop mass of a recurrent chain is infinite: avoid some vertex")
     universe = [i for i in range(e.n) if i not in avoid_idx]
-    mass = 0.0
+    terms = []
     # an empty keep set (r = |universe|) has mass 0 and is skipped
     for r in range(min(len(hit), len(universe) - 1) + 1):
         keep = [[i for i in universe if i not in S] for S in map(set, itertools.combinations(hit_idx, r))]
-        for term in _restricted_mass(e, np.array(keep)):
-            mass += (-1) ** r * term
-    mass = max(mass, 0.0)
+        terms += ((-1) ** r * _restricted_mass(e, np.array(keep))).tolist()
+    mass = max(math.fsum(terms), 0.0)
     return mass, float(np.exp(-alpha * mass))
 
 
