@@ -106,12 +106,7 @@ def cmd_wilson(args):
     trees = []
     for _ in range(args.samples):
         tree, ens = wilson_sample(e, rng, root=root)
-        trees.append(
-            {
-                "parent": {c: p for c, p in tree.parent.items()},
-                "erased_loops": len(ens.loops),
-            }
-        )
+        trees.append({"parent": tree.parent, "erased_loops": len(ens.loops)})
     _emit(args, {"seed": args.seed, "trees": trees})
     return 0
 

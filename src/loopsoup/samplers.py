@@ -16,7 +16,7 @@ branches, bridge excursions and absorbed walks: it stops on entering a
 vertex flagged in a stop list (the tree, the bridge target, or none) or
 the cemetery column, within MAX_STEPS steps.  Holding times are drawn per
 walk, after it stops.  Wilson's algorithm and loop_erase share one loop
-erasure, _erase.
+erasure, _erase.  A spanning tree is an int parent array, n the cemetery.
 
 The free field needs no Green matrix: with M_lambda - C = R R^T (Cholesky),
 phi = R^{-T} z for z standard normal has covariance
@@ -114,19 +114,21 @@ def _positions(loops):
 
 @dataclass
 class SpanningTree:
-    """Rooted oriented spanning tree: child -> parent, with None standing
-    for the cemetery root of a transient chain."""
+    """Rooted oriented spanning tree as an int parent array over the vertex
+    list: parent_index[v] is v's parent, n the cemetery of a transient
+    chain and the parent of a recurrent chain's root."""
 
-    parent: dict
+    vertices: tuple
+    parent_index: np.ndarray
     root: object  # vertex name, or None for the cemetery
 
-    def key(self):
-        """Canonical hashable identity of the tree (for frequency counts)."""
-        return tuple(sorted(self.parent.items(), key=lambda kv: str(kv[0])))
-
-    def contains_edge(self, x, y):
-        """Whether the undirected edge {x, y} is in the tree."""
-        return self.parent.get(x) == y or self.parent.get(y) == x
+    @property
+    def parent(self):
+        """child -> parent by name, None for the cemetery; a recurrent
+        chain's root is left out."""
+        n, names = len(self.vertices), self.vertices
+        return {v: None if p == n else names[p]
+                for v, p in zip(names, self.parent_index.tolist()) if v != self.root}
 
 
 @dataclass
@@ -480,7 +482,8 @@ def wilson_sample(e, rng, root=None):
     recurrent chains need an explicit root vertex.  Each branch is a _walk
     from the least vertex not yet in the tree until it enters the tree or
     the cemetery; its visits get exp(1)/lambda holding times, drawn in one
-    call after the walk stops.  Erased visits accumulate into the erased
+    call after the walk stops.  Each kept visit sets parent[v] to the next
+    kept index, n at the cemetery.  Erased visits accumulate into the erased
     loops, the surviving visit of each tree vertex becomes its trivial
     occupation.
     """
@@ -492,7 +495,7 @@ def wilson_sample(e, rng, root=None):
         raise GraphError("recurrent chain needs an explicit root")
     table, lam = _step_table(e), e.lam.tolist()
     in_tree = [False] * n
-    parent, erased, trivial = {}, [], np.zeros(n)
+    parent, erased, trivial = [n] * n, [], np.zeros(n)
     if root is not None:
         in_tree[e.indices([root])[0]] = True
     for start in range(n):
@@ -505,7 +508,7 @@ def wilson_sample(e, rng, root=None):
             erased.append(PointedLoop(tuple([path[t] for t in loop]), tuple([taus[t] for t in loop])))
         branch = [path[t] for t in kept] + [nxt]  # ends in the tree or at the cemetery n
         for v, w, t in zip(branch, branch[1:], kept):
-            parent[e.vertices[v]] = None if w == n else e.vertices[w]
+            parent[v] = w
             in_tree[v] = True
             trivial[v] = taus[t]
-    return SpanningTree(parent, root), LoopEnsemble(e.vertices, 1.0, erased, trivial)
+    return SpanningTree(e.vertices, np.array(parent), root), LoopEnsemble(e.vertices, 1.0, erased, trivial)

@@ -31,7 +31,6 @@ from .loops import (
 )
 from .rng import as_generator
 from .samplers import (
-    SpanningTree,
     _field,
     _soup_occupations,
     _step_table,
@@ -94,13 +93,12 @@ class VerificationReport:
         )
 
     def add_stat(self, name, exact, estimate, se):
-        if se <= 0:
-            z = 0.0 if abs(estimate - exact) < 1e-12 else float("inf")
-        else:
-            z = (estimate - exact) / se
+        if se > 0:
+            z = float((estimate - exact) / se)
+        else:  # a sample of no spread puts no scale on a miss: no z, and the check fails
+            z = 0.0 if abs(estimate - exact) < 1e-12 else None
         self.checks.append(
-            Check(name, "stat", exact=float(exact), estimate=float(estimate),
-                  se=float(se), z=float(z))
+            Check(name, "stat", exact=float(exact), estimate=float(estimate), se=float(se), z=z)
         )
 
     def add_pvalue(self, name, p):
@@ -120,7 +118,7 @@ class VerificationReport:
         gate = self.z_gate
         for c in self.checks:
             if c.kind == "stat":
-                c.passed = bool(abs(c.z) < gate)
+                c.passed = c.z is not None and bool(abs(c.z) < gate)
         self.wall_time = time.perf_counter() - t0
         return self
 
@@ -271,11 +269,13 @@ def _orth_target(gxy, k, l, alpha):
 
 def enumerate_spanning_trees(e, root=None):
     """Exhaustive oracle: all rooted spanning trees with their exact
-    probabilities Z_e * prod C.  Transient chains are rooted at the
-    cemetery (parent None); recurrent ones at the given root, as the
-    chain killed there."""
+    probabilities Z_e * prod C, as arrays (parents, probabilities), row t of
+    parents tree t's parent array.  Transient chains are rooted at the
+    cemetery, index n; recurrent ones at the given root, as the chain
+    killed there: the root's children point at it and the root at n."""
     if e.n > 6:
         raise GraphError("spanning tree enumeration guard exceeded")
+    n, keep, end = e.n, np.arange(e.n), e.n
     if e.transient:
         if root is not None:
             raise GraphError("root only applies to recurrent chains")
@@ -284,27 +284,37 @@ def enumerate_spanning_trees(e, root=None):
             raise GraphError("recurrent chain needs a root")
         if root not in e.index:
             raise GraphError(f"unknown root {root!r}")
-        e = restrict(e, [v for v in e.vertices if v != root])
+        end = e.index[root]
+        keep = np.delete(keep, end)
+        e = restrict(e, [e.vertices[i] for i in keep])
     Z = float(np.exp(green(e).logdet_G))
+    # each kept vertex chooses a neighbour, or the end (the cemetery or the root) by its killing
     choosers = []
     for i in range(e.n):
-        opts = [(int(j), e.C[i, j]) for j in np.nonzero(e.C[i])[0]]
+        opts = [(keep[j], e.C[i, j]) for j in np.nonzero(e.C[i])[0]]
         if e.kappa[i] > 0:
-            opts.append((None, e.kappa[i]))
+            opts.append((end, e.kappa[i]))
         choosers.append(opts)
-    trees = []
+    parents, probs = [], []
     for combo in itertools.product(*choosers):
-        parent_idx = [c[0] for c in combo]
-        # acyclicity: n parent steps take every vertex to the root (None)
-        reach = list(range(e.n))
-        for _ in range(e.n):
-            reach = [None if j is None else parent_idx[j] for j in reach]
-        if any(j is not None for j in reach):
-            continue
-        weight = float(np.prod([c[1] for c in combo]))
-        parent = {e.vertices[i]: root if j is None else e.vertices[j] for i, j in enumerate(parent_idx)}
-        trees.append((parent, Z * weight))
-    return trees
+        parent = np.full(n + 1, n)  # n, the end of every tree, is its own parent
+        parent[keep] = [c[0] for c in combo]
+        reach = parent
+        for _ in range(n):  # n parent steps take every vertex to n, unless it lies on a cycle
+            reach = parent[reach]
+        if (reach == n).all():
+            parents.append(parent[:n])
+            with np.errstate(over="ignore"):  # rejected below
+                probs.append(Z * float(np.prod([c[1] for c in combo])))
+    # every tree has positive probability, unless Z * prod C leaves the floats
+    if not all(0 < p < math.inf for p in probs):
+        raise GraphError("spanning tree probabilities leave the floating-point range")
+    return np.array(parents).reshape(-1, n), np.array(probs)
+
+
+def _inclusions(parents, iu, ju):
+    """(tree, edge) inclusions of parent-array rows, edge a being {iu[a], ju[a]}."""
+    return (parents[:, iu] == ju) | (parents[:, ju] == iu)
 
 
 def self_avoiding_paths(e, x, y):
@@ -416,35 +426,33 @@ def _inclusion_probability(e, tm, sub):
     """P(the undirected edges tm.edges[sub] are all in the tree) =
     prod C * det K[sub, sub] of the transfer matrix tm."""
     conds = [e.C[e.index[x], e.index[y]] for x, y in (tm.edges[a] for a in sub)]
-    return float(np.prod(conds) * np.linalg.det(tm.K[np.ix_(sub, sub)]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product is rejected below
+        p = float(np.prod(conds) * np.linalg.det(tm.K[np.ix_(sub, sub)]))
+    if not math.isfinite(p):
+        raise GraphError("edge inclusion probability overflows")
+    return p
 
 
 def verify_transfer_current(e, n_samples=0, rng=0, root=None, fixture="?"):
     """Spanning trees: exhaustive-law oracle, inclusion determinants of the
     edge sets {e_0}, {e_1} and {e_0, e_1}, the determinantal Laplace
-    functional and negative association."""
+    functional and negative association, on trees as parent-array rows."""
     t0, gen, report = _suite("transfer_current", fixture, n_samples, rng)
-    all_edges = [
-        (e.vertices[i], e.vertices[j])
-        for i in range(e.n)
-        for j in range(i + 1, e.n)
-        if e.C[i, j] > 0
-    ]
+    iu, ju = np.nonzero(np.triu(e.C) > 0)
+    all_edges = [(e.vertices[i], e.vertices[j]) for i, j in zip(iu, ju)]
     tm = transfer_matrix(e, all_edges, root=root)
     subsets = [[0], [1], [0, 1]] if len(all_edges) >= 2 else [[0]] * len(all_edges)
     named_sets = []
     for sub in subsets:
-        edges = [all_edges[a] for a in sub]
-        name = "+".join(f"{a}-{b}" for a, b in edges)
-        named_sets.append((name, edges, _inclusion_probability(e, tm, sub)))
+        name = "+".join(f"{a}-{b}" for a, b in (all_edges[a] for a in sub))
+        named_sets.append((name, sub, _inclusion_probability(e, tm, sub)))
     oracle = None
     if e.n <= 4:
-        oracle = [(SpanningTree(parent, root), p) for parent, p in enumerate_spanning_trees(e, root=root)]
-        report.add_exact("tree law total mass", 1.0, sum(p for _, p in oracle), 1e-9)
-        for name, edges, det_prob in named_sets:
-            brute = sum(
-                p for tree, p in oracle if all(tree.contains_edge(a, b) for a, b in edges)
-            )
+        oracle, probs = enumerate_spanning_trees(e, root=root)
+        report.add_exact("tree law total mass", 1.0, sum(probs.tolist()), 1e-9)
+        inc = _inclusions(oracle, iu, ju)
+        for name, sub, det_prob in named_sets:
+            brute = sum(probs[inc[:, sub].all(axis=1)].tolist())
             report.add_exact(f"inclusion det vs oracle [{name}]", brute, det_prob, 1e-9)
     # negative association, determinants only
     if len(all_edges) >= 2:
@@ -453,38 +461,30 @@ def verify_transfer_current(e, n_samples=0, rng=0, root=None, fixture="?"):
             "negative association (det)", p12 <= p1 * p2 + 1e-12,
             residual=p12 - p1 * p2, tol=1e-12,
         )
-    g_values = {edge: 0.3 + 0.1 * i for i, edge in enumerate(all_edges)}
-    d = np.sqrt(
-        np.array(
-            [e.C[e.index[x], e.index[y]] * (1 - np.exp(-g_values[(x, y)])) for x, y in all_edges]
-        )
-    )
+    g = 0.3 + 0.1 * np.arange(len(all_edges))
+    d = np.sqrt(e.C[iu, ju] * (1 - np.exp(-g)))
     laplace_exact = float(np.linalg.det(np.eye(len(all_edges)) - d[:, None] * tm.K * d[None, :]))
     if n_samples > 0:
-        counts = Counter()
-        incl = np.zeros(len(named_sets))
-        lap = np.empty(n_samples)
+        rows = np.empty((n_samples, e.n), dtype=int)  # filled in place: 10^4 row arrays in a list add 1.7 MB of peak RSS
         for s in range(n_samples):
-            tree, _ = wilson_sample(e, gen, root=root)
-            counts[tree.key()] += 1
-            for ti, (_, edges, _) in enumerate(named_sets):
-                if all(tree.contains_edge(a, b) for a, b in edges):
-                    incl[ti] += 1
-            lap[s] = np.exp(
-                -sum(g_values[edge] for edge in all_edges if tree.contains_edge(*edge))
-            )
-        if oracle is not None and len(oracle) == 1:
-            report.add_bool("every tree is the only tree", counts[oracle[0][0].key()] == n_samples)
-        elif oracle is not None:
-            expected = np.array([p for _, p in oracle]) * n_samples
-            observed = np.array([counts[tree.key()] for tree, _ in oracle], dtype=float)
-            chi2, p = sstats.chisquare(observed, expected)
-            report.add_pvalue(f"tree law chi-square ({len(oracle)} trees)", p)
-        for ti, (name, _, det_prob) in enumerate(named_sets):
-            freq = incl[ti] / n_samples
+            rows[s] = wilson_sample(e, gen, root=root)[0].parent_index
+        inc = _inclusions(rows, iu, ju)
+        if oracle is not None:
+            counts = np.array([(rows == parent).all(axis=1).sum() for parent in oracle])
+            if len(oracle) == 1:
+                report.add_bool("every tree is the only tree", counts[0] == n_samples)
+            else:
+                chi2, p = sstats.chisquare(counts.astype(float), probs * n_samples)
+                report.add_pvalue(f"tree law chi-square ({len(oracle)} trees)", p)
+        for name, sub, det_prob in named_sets:
+            freq = inc[:, sub].all(axis=1).sum() / n_samples
             se = np.sqrt(max(det_prob * (1 - det_prob), 1e-12) / n_samples)
             report.add_stat(f"inclusion freq [{name}]", det_prob, freq, se)
-        mean, se = _mean_se(lap)
+        # g summed edge by edge, in edge order: a pairwise .sum(axis=1) moves last bits
+        exponent = np.zeros(n_samples)
+        for a, g_a in enumerate(g):
+            exponent[inc[:, a]] += g_a
+        mean, se = _mean_se(np.exp(-exponent))
         report.add_stat("edge Laplace functional", laplace_exact, mean, se)
     return report.finalize(t0)
 

@@ -57,7 +57,9 @@ def _wilson(name, root):
         out = []
         for _ in range(20):
             tree, ens = ls.wilson_sample(e, rng, root=root)
-            out.append([tree.key(), _loops(e, ens.loops), ens.trivial.tolist()])
+            # the tree as (child, parent) name pairs sorted by child: the digests were pinned on names
+            parent = tuple(sorted(tree.parent.items(), key=lambda kv: str(kv[0])))
+            out.append([parent, _loops(e, ens.loops), ens.trivial.tolist()])
         return out
 
     return run
@@ -183,3 +185,15 @@ def test_golden_cli_sample(tmp_path, capsys):
     ls.write_fixtures(str(tmp_path))
     assert main(["sample", str(tmp_path / "k4c1.json"), "-n", "5", "--seed", "0", "--json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLI_SAMPLE_K4C1
+
+
+# stdout of `loopsoup wilson k4_rooted.json --root a -n 5 --seed 3 --json`:
+# each "parent" object lists its children in vertex order
+CLI_WILSON_K4_ROOTED = "e1a71d093da771e0bb21b2685f1a3aad8cb0c687bff990fc2207f4670ec422e9"
+
+
+def test_golden_cli_wilson(tmp_path, capsys):
+    ls.write_fixtures(str(tmp_path))
+    argv = ["wilson", str(tmp_path / "k4_rooted.json"), "--root", "a", "-n", "5", "--seed", "3", "--json"]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLI_WILSON_K4_ROOTED
