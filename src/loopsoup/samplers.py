@@ -5,18 +5,24 @@ All samplers consume a counter-based RngStream (or any numpy Generator)
 and are bit-reproducible for a fixed (seed, stream, call sequence).
 
 Every step of a chain (loop, bridge or walk) is an inverse-CDF lookup: one
-gen.random() and a binary search in a cumulative table.  The tables are
-normalised as Generator.choice normalises its own, so a step consumes the
-same draw and returns the same index as gen.choice(n, p=row), draw for
-draw.  The pointed-loop sampler's length and base-point tables come from
-one eigendecomposition per form, its conditioned step from Krylov columns
-P^m e_base taken per loop.  Every walk that must end reads one _step_table
-per form and target and steps it in _walk, the one step loop of Wilson's
-branches, bridge excursions and absorbed walks: it stops on entering a
-vertex flagged in a stop list (the tree, the bridge target, or none) or
-the cemetery column, within MAX_STEPS steps.  Holding times are drawn per
-walk, after it stops.  Wilson's algorithm and loop_erase share one loop
-erasure, _erase.  A spanning tree is an int parent array, n the cemetery.
+uniform and bisect.bisect_right over a cumulative row.  A step row is a
+tuple kept at the row's nonzero columns less the last, whose sum 1.0 no
+uniform reaches.  The rows are normalised as Generator.choice normalises
+its own, so a step consumes the same draw and returns the same index as
+gen.choice(n, p=row), draw for draw.  The pointed-loop sampler's length and
+base-point tables come from one eigendecomposition per form.  Its
+conditioned step rows are memoised on the sampler, one per (base, steps
+left, vertex), each computed once from the Krylov columns P^m e_base of the
+first loop that misses it; at most MAX_CACHED_ROWS rows are kept, and they
+go with the memoised sampler when the form goes.  The cache changes no
+draw: a warm sampler draws what a fresh one draws.  Every walk that must
+end reads one _step_table per form and target and steps it in _walk, the
+one step loop of Wilson's branches, bridge excursions and absorbed walks:
+it stops on entering a vertex flagged in a stop list (the tree, the bridge
+target, or none) or the cemetery column, within MAX_STEPS steps.  Holding
+times are drawn per walk, after it stops.  Wilson's algorithm and
+loop_erase share one loop erasure, _erase.  A spanning tree is an int
+parent array, n the cemetery.
 
 The free field needs no Green matrix: with M_lambda - C = R R^T (Cholesky),
 phi = R^{-T} z for z standard normal has covariance
@@ -33,6 +39,7 @@ np.add.at or np.bincount over the flat arrays of _positions.
 
 import weakref
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -147,46 +154,52 @@ def _cdf(p):
 
 
 def _draw(gen, cdf):
-    """Index drawn from a _cdf table with one gen.random(): the same draw
-    and index as gen.choice(len(cdf), p=p)."""
-    return int(cdf.searchsorted(gen.random(), side="right"))
+    """Index drawn from a cumulative row (a _cdf array or a tuple) with one
+    gen.random(): bisect_right returns cdf.searchsorted(u, side="right"),
+    the same draw and index as gen.choice(len(cdf), p=p).  The step loops
+    inline this lookup."""
+    return bisect_right(cdf, gen.random())
 
 
 def _sparse_cdfs(M):
-    """Nonzero entries of each row of the row-stochastic M as padded rows
-    (cdf, column): row u draws column[u][_draw(gen, cdf[u])].
+    """Nonzero entries of each row of the row-stochastic M as lists of
+    tuple rows (cdf, column): row u draws column[u][_draw(gen, cdf[u])].
 
     Adding 0.0 is exact, so each row's cumulative sums equal those of the
     dense row at its nonzero entries, and the draw matches
-    gen.choice(len(M[u]), p=M[u]).  Padding repeats the row total 1.0,
-    which no draw in [0, 1) passes.
+    gen.choice(len(M[u]), p=M[u]).  A cdf row leaves out its last sum,
+    1.0, which no uniform in [0, 1) reaches, so a draw past the others
+    takes the last column.  A row of no weight is empty.
     """
     rows, cols = np.nonzero(M)
     deg = np.bincount(rows, minlength=M.shape[0])
-    slot = np.arange(rows.size) - np.repeat(np.cumsum(deg) - deg, deg)
+    start = np.cumsum(deg) - deg
+    slot = np.arange(rows.size) - np.repeat(start, deg)
     weights = np.zeros((M.shape[0], deg.max()))
     weights[rows, slot] = M[rows, cols]
-    column = np.zeros(weights.shape, dtype=int)
-    column[rows, slot] = cols
     cdf = np.cumsum(weights, axis=1)
     np.divide(cdf, cdf[:, -1:], out=cdf, where=cdf[:, -1:] > 0)  # rows of no weight stay 0
-    return cdf, column.tolist()
+    flat = tuple(cdf[rows, slot].tolist())
+    column = tuple(np.arange(M.shape[1]).astype(object)[cols].tolist())  # one int object per column
+    a, b = start.tolist(), (start + deg).tolist()
+    return [flat[i:max(i, j - 1)] for i, j in zip(a, b)], [column[i:j] for i, j in zip(a, b)]
 
 
 _STEP_TABLES = weakref.WeakKeyDictionary()  # form -> {target: table}
 
 
 def _step_table(e, target=None):
-    """Jump law of the chain as (cdf, column, V): _sparse_cdfs rows, built
-    once per form and target (the form's arrays are read-only).
+    """Jump law of the chain as (cdf, column, V, stop): _sparse_cdfs rows,
+    built once per form and target (the form's arrays are read-only).
 
-    No target: rows of [P | kappa/lambda], column n the cemetery, V None,
-    after checking that every walk ends: on a transient form each component
-    holds a killed vertex, and a recurrent form (walked to a root) is
-    connected.  Target y: V = (I-P)^{-1} e_y = lambda_y G e_y, one solve
-    with the Cholesky factor, and row u the bridge step P^u_z V^z / sum_z
-    P^u_z V^z; a row of no weight (another component, a vertex with no
-    edges) stays empty, and no bridge enters it.
+    No target: rows of [P | kappa/lambda], column n the cemetery, V and
+    stop None, after checking that every walk ends: on a transient form
+    each component holds a killed vertex, and a recurrent form (walked to a
+    root) is connected.  Target y: V = (I-P)^{-1} e_y = lambda_y G e_y, one
+    solve with the Cholesky factor, row u the bridge step
+    P^u_z V^z / sum_z P^u_z V^z, and the stop list flagging y alone; a row
+    of no weight (another component, a vertex with no edges) stays empty,
+    and no bridge enters it.
     """
     tables = _STEP_TABLES.setdefault(e, {})
     table = tables.get(target)
@@ -197,7 +210,7 @@ def _step_table(e, target=None):
                 raise GraphError("some component is never killed: its walks never end")
             if not e.transient and n_comp > 1:
                 raise GraphError("recurrent chain is disconnected: some walks never reach the root")
-            V = None
+            V = stop = None
             M = np.hstack([e.C, e.kappa[:, None]]) / e.lam[:, None]
         else:
             V = np.zeros(e.n)
@@ -206,7 +219,8 @@ def _step_table(e, target=None):
             M = e.P * V
             w = M.sum(axis=1, keepdims=True)
             np.divide(M, w, out=M, where=w > 0)
-        table = tables[target] = (*_sparse_cdfs(M), V)
+            stop = [v == target for v in range(e.n)]
+        table = tables[target] = (*_sparse_cdfs(M), V, stop)
     return table
 
 
@@ -219,14 +233,19 @@ def _walk(gen, table, start, stop):
     """Walk on a _step_table from the index start until it enters a vertex
     flagged in the list stop, or the cemetery column: the indices visited
     before that, and the one that ended it.  GraphError after MAX_STEPS."""
-    cdf, column, _ = table
+    cdf, column, random = table[0], table[1], gen.random
     u, path, cemetery = start, [start], len(cdf)
     for _ in range(MAX_STEPS):
-        u = column[u][_draw(gen, cdf[u])]
+        u = column[u][bisect_right(cdf[u], random())]
         if u == cemetery or stop[u]:
             return path, u
         path.append(u)
     raise GraphError("walk failed to end")
+
+
+# conditioned step rows one PointedLoopSampler keeps at most (about 200
+# bytes each on a box of Z^2); past it a missed row is computed and not kept
+MAX_CACHED_ROWS = 1 << 16
 
 
 class PointedLoopSampler:
@@ -235,16 +254,26 @@ class PointedLoopSampler:
     Draws the length k with probability (Tr(P^k)/k) / mu(p>1), the base
     point proportionally to the diagonal of P^k, then the intermediate
     vertices by conditioned transitions; holding times are exp(1)/lambda.
+    The base and the k - 1 steps take one gen.random(k), whose values are
+    those of k scalar draws.
 
     The tables come from one eigendecomposition U diag(w) U^T of
     S = M_lambda^{-1/2} C M_lambda^{-1/2}, which is similar to P: row k
-    of the (k_cap+1) x n base table is diag P^k = (U o U) w^k, its sum
-    is Tr P^k = sum_i w_i^k, and rho = max |w|.  Where P^k has a
+    of the (k_cap+1) x n diagonal table is diag P^k = (U o U) w^k, its
+    sum is Tr P^k = sum_i w_i^k, and rho = max |w|.  Where P^k has a
     structural zero (odd k on a bipartite graph) the eigen sum leaves
     rounding noise, so every entry at or below 1e-10 (U o U) |w|^k is
-    set to 0.  The step from u at position i of a length-k loop weighs
-    P[u] * (P^{k-i})[:, base], a Krylov column built per loop by mat-vecs
-    from P[:, base]; mat-vecs keep the exact zeros of the powers.
+    set to 0.  The base-point table keeps the cumulative rows of the
+    lengths of nonzero probability only.  The step from u with m steps
+    left in a loop based at b weighs P[u] * (P^m)[:, b].  Its cumulative
+    row, normalised over the dense row as _cdf does, is memoised per
+    (b, m, u) at the nonzero columns of P[u] less the last (_step_row; the
+    index a draw returns has weight > 0, so the lookup matches the dense
+    one).  A loop builds the Krylov columns P^m e_b by mat-vecs from
+    P[:, b] only when it misses a row; mat-vecs keep the exact zeros of the
+    powers.  The cache grows by at most one row per drawn step, holds at
+    most min(n^2 (k_cap - 1), MAX_CACHED_ROWS) rows, and lives as long as
+    the sampler.
 
     dropped_mass is the mu mass left out: the tail sum_{k>k_cap}
     sum_i w_i^k/k, summed term by term, plus the diagonal mass the floor
@@ -269,7 +298,7 @@ class PointedLoopSampler:
             if k_cap > 1 << 16:
                 raise GraphError("length cap growth failed")
         self.k_cap = k_cap
-        self.P, self.lam = e.P, e.lam
+        self.P, self.lam = e.P, e.lam.tolist()
         k = np.arange(k_cap + 1)
         wk = w ** k[:, None]
         UU = (U * U).T
@@ -281,18 +310,28 @@ class PointedLoopSampler:
         zeroed = diag <= 1e-10 * scale
         lost = np.abs(diag, out=scale).sum(axis=1, where=zeroed)  # per length, the mass set to 0
         diag[zeroed] = 0.0
+        del scale, zeroed
         trace = diag.sum(axis=1)
         probs = np.zeros(k_cap + 1)
         probs[2:] = trace[2:] / k[2:]
         self.length_probs = probs / probs.sum()
-        self._length_cdf = _cdf(self.length_probs)
+        self._length_cdf = _cdf(self.length_probs).tolist()
         self.dropped_mass = _tail_mass(w, k_cap) + float((lost[2:] / k[2:]).sum())
-        # base point given the length k: proportional to the diagonal of P^k
-        # (rows of zero trace are never drawn)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            diag /= trace[:, None]
-            self._base_cdf = np.cumsum(diag, axis=1, out=diag)
-            self._base_cdf /= self._base_cdf[:, -1:]
+        # base point given the length k: proportional to the diagonal of P^k,
+        # a row for each length of nonzero probability and None for the others
+        # (odd lengths on a bipartite graph), which are never drawn
+        drawn = np.flatnonzero(self.length_probs)
+        base = diag[drawn]
+        del diag
+        base /= trace[drawn, None]
+        np.cumsum(base, axis=1, out=base)
+        base /= base[:, -1:]
+        self._base_cdf = [None] * (k_cap + 1)
+        for j, row in zip(drawn.tolist(), base):
+            self._base_cdf[j] = row
+        self._support = [np.flatnonzero(row) for row in self.P]
+        self._columns = [z.tolist() for z in self._support]
+        self._rows = {}  # (m n + u) n + base -> _step_row over the columns _support[u]
 
     @property
     def e(self):
@@ -302,17 +341,38 @@ class PointedLoopSampler:
     def sample(self, rng):
         gen = as_generator(rng)
         k = _draw(gen, self._length_cdf)
-        base = _draw(gen, self._base_cdf[k])
-        P = self.P
-        cols = [None, P[:, base]]  # cols[m] = (P^m)[:, base]
-        for _ in range(2, k):
-            cols.append(P @ cols[-1])
-        seq = [base]
+        uniform = gen.random(k).tolist()  # the base, then the k - 1 steps
+        base = bisect_right(self._base_cdf[k], uniform[0])
+        P, n, rows, columns = self.P, len(self.lam), self._rows, self._columns
+        seq, u, cols = [base], base, None
         for i in range(1, k):
-            w = P[seq[-1]] * cols[k - i]
-            seq.append(_draw(gen, _cdf(w / w.sum())))
-        taus = gen.standard_exponential(k) / self.lam[seq]
-        return PointedLoop(tuple(seq), tuple(taus.tolist()))
+            m = k - i
+            key = (m * n + u) * n + base
+            cdf = rows.get(key)
+            if cdf is None:
+                if cols is None:  # cols[j] = (P^j)[:, base] for j <= m
+                    cols = [None, P[:, base]]
+                    for _ in range(1, m):
+                        cols.append(P @ cols[-1])
+                cdf = _step_row(P[u] * cols[m], self._support[u])
+                if len(rows) < MAX_CACHED_ROWS:
+                    rows[key] = cdf
+            u = columns[u][bisect_right(cdf, uniform[i])]
+            seq.append(u)
+        lam = self.lam
+        taus = [t / lam[v] for v, t in zip(seq, gen.standard_exponential(k).tolist())]
+        return PointedLoop(tuple(seq), tuple(taus))
+
+
+def _step_row(w, support):
+    """Cumulative row of the weights w, normalised over the dense row as
+    _cdf(w / w.sum()) is (a pairwise sum groups its terms by where the zeros
+    sit), kept at the columns support but the last, where it is 1.0; support
+    holds every nonzero weight.  A draw stops where the row rises, at a
+    weight > 0, so support[bisect_right(row, u)] is
+    cdf.searchsorted(u, side="right") for u in [0, 1)."""
+    w /= w.sum()
+    return tuple(_cdf(w)[support[:-1]].tolist())
 
 
 def _tail_mass(w, k_cap):
@@ -413,16 +473,17 @@ def sample_bridge(e, x, y, rng):
     gen = as_generator(rng)
     i, j = e.index[x], e.index[y]
     table = _step_table(e, j)
-    V = table[2]
+    _, _, V, stop = table
     if V[i] <= 0:
         raise GraphError(f"{y!r} unreachable from {x!r}")
-    seq, u, stop = [], i, [v == j for v in range(e.n)]
+    seq, u = [], i
     while not (u == j and gen.random() < 1.0 / V[j]):
         path, u = _walk(gen, table, u, stop)
         seq += path
     seq.append(j)
-    taus = gen.standard_exponential(len(seq)) / e.lam[seq]
-    return BridgePath(tuple(seq), tuple(taus.tolist()))
+    lam = e.lam.tolist()
+    taus = [t / lam[v] for v, t in zip(seq, gen.standard_exponential(len(seq)).tolist())]
+    return BridgePath(tuple(seq), tuple(taus))
 
 
 def sample_gff(e, rng, complex_field=False):

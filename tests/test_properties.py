@@ -2,6 +2,7 @@
 
 import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import loopsoup as ls
 from loopsoup.graph import GraphError
-from loopsoup.samplers import _cdf, _draw, _soup_occupations, _sparse_cdfs
+from loopsoup.samplers import _cdf, _draw, _soup_occupations, _sparse_cdfs, _step_row
 
 from conftest import random_energy_form
 from test_loops import based_walk_loops
@@ -201,6 +202,36 @@ def test_table_draws_match_generator_choice(M, seed):
             assert column[u][_draw(sparse, cdf[u])] == expected
     assert _state(dense) == _state(ref)
     assert _state(sparse) == _state(ref)
+
+
+@st.composite
+def _rows_with_absorbed_weights(draw):
+    """A weight row of length 2-12 with zeros and one weight too small to
+    move the cumulative sum past a larger one before it, and a support:
+    the nonzero columns and some zero ones."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    w = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=n, max_size=n))
+    j = draw(st.integers(min_value=1, max_value=n - 1))
+    w[j - 1] = draw(st.floats(1.0, 1e3))
+    w[j] = w[j - 1] * draw(st.floats(1e-300, 1e-17))
+    w = np.array(w)
+    extra = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return w, np.flatnonzero((w > 0) | np.array(extra))
+
+
+@given(_rows_with_absorbed_weights(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+@settings(deadline=None, max_examples=200)
+def test_sparse_step_row_bisects_to_the_dense_index(row, uniforms):
+    w, support = row
+    cdf = _cdf(w / w.sum())  # the dense row
+    assert any(cdf[j] == cdf[j - 1] and w[j] > 0 for j in range(1, len(w)))
+    sparse = _step_row(w.copy(), support)
+    assert cdf[support[-1]] == 1.0 and sparse == tuple(cdf[support[:-1]].tolist())
+    # the table entries and their neighbours, where a lookup would go wrong
+    probes = [0.0, *uniforms, *cdf, *np.nextafter(cdf, 0.0), *np.nextafter(cdf, 1.0)]
+    for u in probes:
+        if u < 1.0:
+            assert support[bisect_right(sparse, u)] == cdf.searchsorted(u, side="right")
 
 
 def _reference_stats(ens):

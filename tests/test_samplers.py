@@ -115,6 +115,28 @@ def test_eigen_sampler_matches_the_power_table(name):
     assert gen.random() == ref_gen.random()
 
 
+@pytest.mark.parametrize("name", ["p2", "k4c1", "counterexample", (2, 0), (8, 2)], ids=str)
+def test_warm_loop_sampler_draws_what_a_fresh_one_draws(name, monkeypatch):
+    # the memoised step rows move no draw: a sampler whose rows were filled
+    # on another stream, a fresh one and one that keeps no row draw the
+    # same loops and leave the same next draw
+    e = _form(name)
+    warm = ls.PointedLoopSampler(e)
+    fill = ls.RngStream(5, stream=1).generator
+    for _ in range(1000):
+        warm.sample(fill)
+    assert warm._rows
+    fresh = ls.PointedLoopSampler(e)
+    gens = [ls.RngStream(7).generator for _ in range(3)]
+    loops = [[s.sample(g) for _ in range(500)] for s, g in zip((warm, fresh), gens)]
+    monkeypatch.setattr(samplers, "MAX_CACHED_ROWS", 0)
+    bare = ls.PointedLoopSampler(e)
+    loops.append([bare.sample(gens[2]) for _ in range(500)])
+    assert not bare._rows
+    assert loops[0] == loops[1] == loops[2]
+    assert gens[0].random() == gens[1].random() == gens[2].random()
+
+
 @pytest.mark.parametrize("L,chord", [(4, 1e-3), (6, 1e-3), (8, 1e-2)])
 def test_floor_keeps_small_odd_diagonals(L, chord):
     # a weak chord makes the box's odd closed walks genuine but small next
@@ -155,7 +177,8 @@ def test_dropped_mass_counts_the_floored_diagonals():
     ref = _PowerTableSampler(e, sampler.k_cap)
     floored = 0.0
     for k in range(2, sampler.k_cap + 1):
-        kept = np.diff(sampler._base_cdf[k], prepend=0.0) > 0
+        cdf = sampler._base_cdf[k]  # None where the length is never drawn
+        kept = np.zeros(e.n, dtype=bool) if cdf is None else np.diff(cdf, prepend=0.0) > 0
         floored += np.diag(ref.powers[k])[~kept].sum() / k
     w = np.linalg.eigh(e.C / np.sqrt(np.outer(e.lam, e.lam)))[0]
     assert floored > 0
@@ -252,8 +275,8 @@ def test_bridge_skips_rows_of_no_weight():
     e = _two_edges([1.0, 1.0, 1.0, 1.0])
     b = ls.sample_bridge(e, "a", "b", ls.RngStream(0))
     assert set(b.vertices) <= {0, 1} and b.vertices[-1] == 1
-    cdf, _, V = _step_table(e, 1)
-    assert V[2] == V[3] == 0 and not cdf[2:].any()
+    cdf, _, V, _ = _step_table(e, 1)
+    assert V[2] == V[3] == 0 and cdf[2:] == [(), ()]
     with pytest.raises(GraphError, match="unreachable"):
         ls.sample_bridge(e, "a", "c", ls.RngStream(0))
 
