@@ -5,12 +5,12 @@ All samplers consume a counter-based RngStream (or any numpy Generator)
 and are bit-reproducible for a fixed (seed, stream, call sequence).
 
 Every step of a chain (loop, bridge or walk) is an inverse-CDF lookup: one
-uniform and bisect.bisect_right over a cumulative row.  A step row is a
-tuple kept at the row's nonzero columns less the last, whose sum 1.0 no
-uniform reaches.  The rows are normalised as Generator.choice normalises
-its own, so a step consumes the same draw and returns the same index as
-gen.choice(n, p=row), draw for draw.  The pointed-loop sampler's length and
-base-point tables come from one eigendecomposition per form.  Its
+uniform and bisect.bisect_right over a cumulative row.  _row builds every
+step row: a tuple kept at the row's nonzero columns less the last, whose
+sum 1.0 no uniform reaches.  The rows are normalised as Generator.choice
+normalises its own, so a step consumes the same draw and returns the same
+index as gen.choice(n, p=row), draw for draw.  The pointed-loop sampler's
+length and base-point tables come from one eigendecomposition per form.  Its
 conditioned step rows are memoised on the sampler, one per (base, steps
 left, vertex), each computed once from the Krylov columns P^m e_base of the
 first loop that misses it; at most MAX_CACHED_ROWS rows are kept, and they
@@ -145,44 +145,31 @@ class FieldSample:
     complex_field: bool = False
 
 
-def _cdf(p):
-    """Cumulative table of the probability array p, normalised exactly as
-    Generator.choice normalises its own."""
-    cdf = p.cumsum()  # the method: np.cumsum's dispatch costs more than a short sum
+def _row(w):
+    """Cumulative step row of the weights w, in column order: the cumsum
+    over its last entry, as Generator.choice normalises its own, as a tuple
+    less that last entry, 1.0, which no uniform in [0, 1) reaches.  w holds a row's nonzero weights, or its weights at any
+    columns that hold them all: adding 0.0 is exact, so the sums are the
+    dense row's at those columns.  A uniform r passes the row's entries
+    only where it rises, at a weight > 0, so columns[bisect_right(row, r)]
+    is the dense cdf.searchsorted(r, side="right"), the index gen.choice
+    draws."""
+    cdf = w.cumsum()  # the method: np.cumsum's dispatch costs more than a short sum
     cdf /= cdf[-1]
-    return cdf
-
-
-def _draw(gen, cdf):
-    """Index drawn from a cumulative row (a _cdf array or a tuple) with one
-    gen.random(): bisect_right returns cdf.searchsorted(u, side="right"),
-    the same draw and index as gen.choice(len(cdf), p=p).  The step loops
-    inline this lookup."""
-    return bisect_right(cdf, gen.random())
+    return tuple(cdf[:-1].tolist())
 
 
 def _sparse_cdfs(M):
     """Nonzero entries of each row of the row-stochastic M as lists of
-    tuple rows (cdf, column): row u draws column[u][_draw(gen, cdf[u])].
-
-    Adding 0.0 is exact, so each row's cumulative sums equal those of the
-    dense row at its nonzero entries, and the draw matches
-    gen.choice(len(M[u]), p=M[u]).  A cdf row leaves out its last sum,
-    1.0, which no uniform in [0, 1) reaches, so a draw past the others
-    takes the last column.  A row of no weight is empty.
-    """
+    tuple rows (cdf, column), cdf[u] the _row of row u's nonzero weights:
+    a uniform r draws column[u][bisect_right(cdf[u], r)].  A row of no
+    weight is empty."""
     rows, cols = np.nonzero(M)
-    deg = np.bincount(rows, minlength=M.shape[0])
-    start = np.cumsum(deg) - deg
-    slot = np.arange(rows.size) - np.repeat(start, deg)
-    weights = np.zeros((M.shape[0], deg.max()))
-    weights[rows, slot] = M[rows, cols]
-    cdf = np.cumsum(weights, axis=1)
-    np.divide(cdf, cdf[:, -1:], out=cdf, where=cdf[:, -1:] > 0)  # rows of no weight stay 0
-    flat = tuple(cdf[rows, slot].tolist())
+    end = np.cumsum(np.bincount(rows, minlength=M.shape[0])).tolist()
+    weights = M[rows, cols]
     column = tuple(np.arange(M.shape[1]).astype(object)[cols].tolist())  # one int object per column
-    a, b = start.tolist(), (start + deg).tolist()
-    return [flat[i:max(i, j - 1)] for i, j in zip(a, b)], [column[i:j] for i, j in zip(a, b)]
+    spans = list(zip([0, *end[:-1]], end))
+    return [_row(weights[i:j]) if i < j else () for i, j in spans], [column[i:j] for i, j in spans]
 
 
 _STEP_TABLES = weakref.WeakKeyDictionary()  # form -> {target: table}
@@ -263,15 +250,13 @@ class PointedLoopSampler:
     sum is Tr P^k = sum_i w_i^k, and rho = max |w|.  Where P^k has a
     structural zero (odd k on a bipartite graph) the eigen sum leaves
     rounding noise, so every entry at or below 1e-10 (U o U) |w|^k is
-    set to 0.  The base-point table keeps the cumulative rows of the
-    lengths of nonzero probability only.  The step from u with m steps
-    left in a loop based at b weighs P[u] * (P^m)[:, b].  Its cumulative
-    row, normalised over the dense row as _cdf does, is memoised per
-    (b, m, u) at the nonzero columns of P[u] less the last (_step_row; the
-    index a draw returns has weight > 0, so the lookup matches the dense
-    one).  A loop builds the Krylov columns P^m e_b by mat-vecs from
-    P[:, b] only when it misses a row; mat-vecs keep the exact zeros of the
-    powers.  The cache grows by at most one row per drawn step, holds at
+    set to 0.  The length table is the _row of the lengths of nonzero
+    probability, and the base-point table keeps the cumulative rows of
+    those lengths only.  The step from u with m steps left in a loop based
+    at b weighs P[u] * (P^m)[:, b].  Normalised over the dense row, its
+    _row at the nonzero columns of P[u] is memoised per (b, m, u).  A loop
+    builds the Krylov columns P^m e_b by mat-vecs from P[:, b] only when it
+    misses a row; mat-vecs keep the exact zeros of the powers.  The cache grows by at most one row per drawn step, holds at
     most min(n^2 (k_cap - 1), MAX_CACHED_ROWS) rows, and lives as long as
     the sampler.
 
@@ -315,12 +300,14 @@ class PointedLoopSampler:
         probs = np.zeros(k_cap + 1)
         probs[2:] = trace[2:] / k[2:]
         self.length_probs = probs / probs.sum()
-        self._length_cdf = _cdf(self.length_probs).tolist()
         self.dropped_mass = _tail_mass(w, k_cap) + float((lost[2:] / k[2:]).sum())
+        drawn = np.flatnonzero(self.length_probs)  # the lengths of nonzero probability
+        self._lengths, self._length_cdf = drawn.tolist(), _row(self.length_probs[drawn])
         # base point given the length k: proportional to the diagonal of P^k,
-        # a row for each length of nonzero probability and None for the others
-        # (odd lengths on a bipartite graph), which are never drawn
-        drawn = np.flatnonzero(self.length_probs)
+        # a row for each drawn length and None for the others (odd lengths on
+        # a bipartite graph); numpy rows, as Python floats the 4,194,304
+        # entries of a killed 32 x 32 box at k_cap 8192 would take about 4x
+        # the memory
         base = diag[drawn]
         del diag
         base /= trace[drawn, None]
@@ -331,7 +318,7 @@ class PointedLoopSampler:
             self._base_cdf[j] = row
         self._support = [np.flatnonzero(row) for row in self.P]
         self._columns = [z.tolist() for z in self._support]
-        self._rows = {}  # (m n + u) n + base -> _step_row over the columns _support[u]
+        self._rows = {}  # (m n + u) n + base -> _row over the columns _support[u]
 
     @property
     def e(self):
@@ -340,7 +327,7 @@ class PointedLoopSampler:
 
     def sample(self, rng):
         gen = as_generator(rng)
-        k = _draw(gen, self._length_cdf)
+        k = self._lengths[bisect_right(self._length_cdf, gen.random())]
         uniform = gen.random(k).tolist()  # the base, then the k - 1 steps
         base = bisect_right(self._base_cdf[k], uniform[0])
         P, n, rows, columns = self.P, len(self.lam), self._rows, self._columns
@@ -354,7 +341,9 @@ class PointedLoopSampler:
                     cols = [None, P[:, base]]
                     for _ in range(1, m):
                         cols.append(P @ cols[-1])
-                cdf = _step_row(P[u] * cols[m], self._support[u])
+                w = P[u] * cols[m]
+                w /= w.sum()  # over the dense row: a pairwise sum groups its terms by where the zeros sit
+                cdf = _row(w[self._support[u]])
                 if len(rows) < MAX_CACHED_ROWS:
                     rows[key] = cdf
             u = columns[u][bisect_right(cdf, uniform[i])]
@@ -362,17 +351,6 @@ class PointedLoopSampler:
         lam = self.lam
         taus = [t / lam[v] for v, t in zip(seq, gen.standard_exponential(k).tolist())]
         return PointedLoop(tuple(seq), tuple(taus))
-
-
-def _step_row(w, support):
-    """Cumulative row of the weights w, normalised over the dense row as
-    _cdf(w / w.sum()) is (a pairwise sum groups its terms by where the zeros
-    sit), kept at the columns support but the last, where it is 1.0; support
-    holds every nonzero weight.  A draw stops where the row rises, at a
-    weight > 0, so support[bisect_right(row, u)] is
-    cdf.searchsorted(u, side="right") for u in [0, 1)."""
-    w /= w.sum()
-    return tuple(_cdf(w)[support[:-1]].tolist())
 
 
 def _tail_mass(w, k_cap):

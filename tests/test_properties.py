@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import loopsoup as ls
 from loopsoup.graph import GraphError
-from loopsoup.samplers import _cdf, _draw, _soup_occupations, _sparse_cdfs, _step_row
+from loopsoup.samplers import _row, _soup_occupations, _sparse_cdfs
 
 from conftest import random_energy_form
 from test_loops import based_walk_loops
@@ -198,8 +198,8 @@ def test_table_draws_match_generator_choice(M, seed):
     for _ in range(10):
         for u, p in enumerate(M):
             expected = ref.choice(len(p), p=p)
-            assert _draw(dense, _cdf(p)) == expected
-            assert column[u][_draw(sparse, cdf[u])] == expected
+            assert bisect_right(_row(p), dense.random()) == expected
+            assert column[u][bisect_right(cdf[u], sparse.random())] == expected
     assert _state(dense) == _state(ref)
     assert _state(sparse) == _state(ref)
 
@@ -223,9 +223,10 @@ def _rows_with_absorbed_weights(draw):
 @settings(deadline=None, max_examples=200)
 def test_sparse_step_row_bisects_to_the_dense_index(row, uniforms):
     w, support = row
-    cdf = _cdf(w / w.sum())  # the dense row
+    p = w / w.sum()  # normalised over the dense row, as the loop sampler does
+    cdf = np.array([*_row(p), 1.0])  # the dense cdf
     assert any(cdf[j] == cdf[j - 1] and w[j] > 0 for j in range(1, len(w)))
-    sparse = _step_row(w.copy(), support)
+    sparse = _row(p[support])
     assert cdf[support[-1]] == 1.0 and sparse == tuple(cdf[support[:-1]].tolist())
     # the table entries and their neighbours, where a lookup would go wrong
     probes = [0.0, *uniforms, *cdf, *np.nextafter(cdf, 0.0), *np.nextafter(cdf, 1.0)]
