@@ -110,10 +110,19 @@ def mu_nontrivial_total(e):
     return float(np.log(e.lam).sum()) - _logdet_posdef(e.laplacian())
 
 
+def _symmetrized(e):
+    """S = M_lambda^{-1/2} C M_lambda^{-1/2}, symmetric and similar to P.
+    GraphError when a product lambda_x lambda_y leaves the floats."""
+    with np.errstate(over="ignore"):  # rejected below
+        lam2 = np.outer(e.lam, e.lam)
+    if not np.isfinite(lam2).all():
+        raise GraphError("lambda_x lambda_y leaves the floating-point range")
+    return e.C / np.sqrt(lam2)
+
+
 def spectral_radius(e):
     """Spectral radius of P (real spectrum by lambda-symmetry)."""
-    S = e.C / np.sqrt(np.outer(e.lam, e.lam))
-    return float(np.max(np.abs(np.linalg.eigvalsh(S))))
+    return float(np.max(np.abs(np.linalg.eigvalsh(_symmetrized(e)))))
 
 
 def _geometric_tail(n, rho, k):

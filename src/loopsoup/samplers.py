@@ -50,7 +50,7 @@ from scipy.special import eval_hermitenorm
 
 from .exact import _factor
 from .graph import GraphError
-from .loops import PointedLoop, _check_alpha, _geometric_tail, mu_nontrivial_total
+from .loops import PointedLoop, _check_alpha, _geometric_tail, _symmetrized, mu_nontrivial_total
 from .rng import as_generator
 
 __all__ = [
@@ -273,7 +273,7 @@ class PointedLoopSampler:
         self.total = mu_nontrivial_total(e)
         if self.total <= 0:
             raise GraphError("no nontrivial loops on this chain")
-        w, U = np.linalg.eigh(e.C / np.sqrt(np.outer(e.lam, e.lam)))
+        w, U = np.linalg.eigh(_symmetrized(e))
         rho = float(np.max(np.abs(w)))
         if not rho < 1:
             raise GraphError("loop sampling requires spectral radius below 1")
@@ -445,7 +445,8 @@ def sample_bridge(e, x, y, rng):
     """Bridge from x to y: at u, stop with probability delta_{u,y}/V^u_y,
     else move to z with probability P^u_z V^z_y / V^u_y (the _step_table of
     target y), so the stop test is drawn at each arrival at y, between
-    excursions.  Holding times exp(1)/lambda at every position, the last too."""
+    excursions.  Holding times exp(1)/lambda at every position, the last too.
+    GraphError once the bridge holds MAX_STEPS positions."""
     if not e.transient:
         raise GraphError("bridge sampling requires a transient chain")
     gen = as_generator(rng)
@@ -458,6 +459,8 @@ def sample_bridge(e, x, y, rng):
     while not (u == j and gen.random() < 1.0 / V[j]):
         path, u = _walk(gen, table, u, stop)
         seq += path
+        if len(seq) >= MAX_STEPS:
+            raise GraphError("bridge failed to end")
     seq.append(j)
     lam = e.lam.tolist()
     taus = [t / lam[v] for v, t in zip(seq, gen.standard_exponential(len(seq)).tolist())]

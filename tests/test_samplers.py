@@ -280,6 +280,16 @@ def test_bridge_skips_rows_of_no_weight():
         ls.sample_bridge(e, "a", "c", ls.RngStream(0))
 
 
+def test_bridge_fails_to_end_within_the_step_bound(monkeypatch):
+    # V_y = lambda_y G_yy = 8.8e12: each arrival at y stops the bridge with
+    # probability 1e-13, so its excursions, each of two steps, never end
+    e = ls.load_energy_form({"vertices": ["x", "y"], "edges": [["x", "y", 8.811858427706042]],
+                             "killing": {"y": 1e-12}})
+    monkeypatch.setattr(samplers, "MAX_STEPS", 1000)
+    with pytest.raises(GraphError, match="bridge failed to end"):
+        ls.sample_bridge(e, "x", "y", ls.RngStream(0))
+
+
 def test_bridge_endpoint_law(k4c1):
     # P(bridge a->b is the single step (a,b)) = P^a_b / V^{a,b}
     V = np.linalg.inv(np.eye(4) - k4c1.P)
