@@ -638,7 +638,7 @@ def verify_energy_variation(e, e2=None, omega=None, alpha=1.0, n_samples=0,
         raise GraphError("need lambda' >= lambda")
     x_idx, h = 0, 1e-5  # the vertex and the step of the kappa_x finite differences
     if e.lam[x_idx] <= 2 * h:
-        raise GraphError("finite differences need lambda_x > 2e-5 at the first vertex")
+        raise GraphError(f"finite differences need lambda_x > {2 * h} at the first vertex")
     W = np.zeros((e.n, e.n)) if omega is None else _omega_matrix(e, omega)
     ratio = partition_ratio(e, e2, W, alpha)
     if np.allclose(e2.C, e.C) and not W.any():
