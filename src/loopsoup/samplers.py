@@ -148,12 +148,14 @@ class FieldSample:
 def _row(w):
     """Cumulative step row of the weights w, in column order: the cumsum
     over its last entry, as Generator.choice normalises its own, as a tuple
-    less that last entry, 1.0, which no uniform in [0, 1) reaches.  w holds a row's nonzero weights, or its weights at any
-    columns that hold them all: adding 0.0 is exact, so the sums are the
-    dense row's at those columns.  A uniform r passes the row's entries
-    only where it rises, at a weight > 0, so columns[bisect_right(row, r)]
-    is the dense cdf.searchsorted(r, side="right"), the index gen.choice
-    draws."""
+    less that last entry, 1.0, which no uniform in [0, 1) reaches.
+
+    w holds a row's nonzero weights, or its weights at any columns that
+    hold them all: adding 0.0 is exact, so the sums are the dense row's at
+    those columns.  A uniform r passes the row's entries only where it
+    rises, at a weight > 0, so columns[bisect_right(row, r)] is the dense
+    cdf.searchsorted(r, side="right"), the index gen.choice draws.
+    """
     cdf = w.cumsum()  # the method: np.cumsum's dispatch costs more than a short sum
     cdf /= cdf[-1]
     return tuple(cdf[:-1].tolist())

@@ -1,6 +1,7 @@
 import gc
 import weakref
 from bisect import bisect_right
+
 import numpy as np
 import pytest
 from conftest import killed_box
