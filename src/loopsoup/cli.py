@@ -138,7 +138,8 @@ def cmd_zeta(args):
 def cmd_verify(args):
     e = load_energy_form(args.graph)
     sampled = {"n_samples": args.samples, "rng": RngStream(args.seed)} if "samples" in args else {}
-    report = args.run(e, args, fixture=args.graph, **sampled)
+    report = args.run(e, args, **sampled)
+    report.fixture = args.graph
     _emit(args, report.to_dict(), report.table())
     return 0 if report.passed else 1
 

@@ -3,7 +3,8 @@ matrices, hitting kernels, capacities and twisted partition functions.
 
 Everything here is a closed-form determinant or inverse of the energy
 matrix M_lambda - C = R R^T, whose Cholesky factor R (_factor) is taken
-once per form; samplers and Monte Carlo checks live elsewhere.  Every Green
+once per form and kept in it (graph.per_form); samplers and Monte Carlo
+checks live elsewhere.  Every Green
 function, of the form or of a derived chain (killed outside D, with chi
 added to its killing, or a recurrent chain killed at its root), is green()
 of that chain's EnergyForm, so it comes from that chain's factor.
@@ -15,13 +16,12 @@ omega, A = M_lambda - C e^{i omega} is Hermitian, and |x* (C e^{i omega}) x|
 definite, so log det A is real and has no branch to track.
 """
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotri
 
-from .graph import EnergyForm, GraphError, restrict
+from .graph import EnergyForm, GraphError, _root_index, per_form, restrict
 
 __all__ = [
     "GreenBundle",
@@ -77,25 +77,20 @@ def _logdet_posdef(A):
     return logdet
 
 
-_FACTORS = weakref.WeakKeyDictionary()
-
-
+@per_form
 def _factor(e):
     """Read-only lower Cholesky factor R R^T = M_lambda - C of a transient
     form, taken once per form; GraphError if there is none or it is not finite."""
-    R = _FACTORS.get(e)
-    if R is None:
-        if not e.transient:
-            raise GraphError("Green function requires a transient chain (some killing)")
-        try:
-            R = np.linalg.cholesky(e.laplacian())
-        except np.linalg.LinAlgError as err:
-            raise GraphError("energy matrix is not numerically positive definite: some component is never killed") from err
-        # a NaN or inf in row i of R reaches R_ii = sqrt(A_ii - sum_j R_ij^2)
-        if not np.isfinite(np.diagonal(R)).all():
-            raise GraphError("energy matrix is not finite")
-        R.setflags(write=False)
-        _FACTORS[e] = R
+    if not e.transient:
+        raise GraphError("Green function requires a transient chain (some killing)")
+    try:
+        R = np.linalg.cholesky(e.laplacian())
+    except np.linalg.LinAlgError as err:
+        raise GraphError("energy matrix is not numerically positive definite: some component is never killed") from err
+    # a NaN or inf in row i of R reaches R_ii = sqrt(A_ii - sum_j R_ij^2)
+    if not np.isfinite(np.diagonal(R)).all():
+        raise GraphError("energy matrix is not finite")
+    R.setflags(write=False)
     return R
 
 
@@ -160,15 +155,9 @@ def _green_matrix_for_edges(e, root):
     """Green matrix of the transfer matrix and recurrent_green: G itself
     when transient, the chain killed at the root (extended by zeros) when
     recurrent."""
-    if e.transient:
-        if root is not None:
-            raise GraphError("root only applies to recurrent chains")
+    if _root_index(e, root) == e.n:  # transient, rooted at the cemetery
         return green(e).G
-    if root is None:
-        raise GraphError("recurrent chain needs a root for the transfer matrix")
     keep = [v for v in e.vertices if v != root]
-    if len(keep) == e.n:
-        raise GraphError(f"unknown root {root!r}")
     idx = e.indices(keep)
     G = np.zeros((e.n, e.n))
     try:

@@ -34,12 +34,31 @@ class GraphError(ValueError):
     """Invalid graph data or operation precondition."""
 
 
+def per_form(fn):
+    """Memoise fn(e) or fn(e, key) in the form's __dict__, where
+    cached_property keeps P: one value per form and key, the key None when
+    left out, built on first use and freed with the form."""
+    slot = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def memo(e, key=None):
+        try:
+            return e.__dict__[slot][key]
+        except KeyError:
+            value = fn(e) if key is None else fn(e, key)
+            e.__dict__.setdefault(slot, {})[key] = value
+            return value
+
+    return memo
+
+
 class EnergyForm:
     """Immutable energy form: vertices, conductances C, killing kappa.
 
     Derived attributes: lam (lambda vector), P (transition matrix) and
     connected_components (both built on first use), transient flag, and an
-    index map from vertex name to position.
+    index map from vertex name to position.  per_form memoises what other
+    modules derive from a form beside these.
     """
 
     def __init__(self, vertices, C, kappa, validate=True, require_connected=True):
@@ -145,9 +164,7 @@ def load_energy_form(source):
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise GraphError("document must be an object with a 'vertices' list")
     vertices = [str(v) for v in doc["vertices"]]
-    index = {v: i for i, v in enumerate(vertices)}
-    if len(index) != len(vertices):
-        raise GraphError("duplicate vertex identifiers")
+    index = {v: i for i, v in enumerate(vertices)}  # EnergyForm rejects a duplicate vertex
     n = len(vertices)
     C = np.zeros((n, n))
     seen = set()
@@ -170,6 +187,21 @@ def load_energy_form(source):
             raise GraphError(f"killing entry references unknown vertex {v!r}")
         kappa[index[str(v)]] = float(k)
     return EnergyForm(vertices, C, kappa)
+
+
+def _root_index(e, root):
+    """Index at which a spanning tree or rooted chain ends: n, the cemetery,
+    on a transient form (root must be None), the root's index on a
+    recurrent one (root must be a vertex)."""
+    if e.transient:
+        if root is not None:
+            raise GraphError("root only applies to recurrent chains")
+        return e.n
+    if root is None:
+        raise GraphError("recurrent chain needs a root")
+    if root not in e.index:
+        raise GraphError(f"unknown root {root!r}")
+    return e.index[root]
 
 
 def restrict(e, D):

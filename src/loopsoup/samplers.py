@@ -9,14 +9,18 @@ uniform and bisect.bisect_right over a cumulative row.  _row builds every
 step row: a tuple kept at the row's nonzero columns less the last, whose
 sum 1.0 no uniform reaches.  The rows are normalised as Generator.choice
 normalises its own, so a step consumes the same draw and returns the same
-index as gen.choice(n, p=row), draw for draw.  The pointed-loop sampler's
-length and base-point tables come from one eigendecomposition per form.  Its
-conditioned step rows are memoised on the sampler, one per (base, steps
-left, vertex), each computed once from the Krylov columns P^m e_base of the
-first loop that misses it; at most MAX_CACHED_ROWS rows are kept, and they
-go with the memoised sampler when the form goes.  The cache changes no
-draw: a warm sampler draws what a fresh one draws.  Every walk that must
-end reads one _step_table per form and target and steps it in _walk, the
+index as gen.choice(n, p=row), draw for draw.
+
+What a form determines is built once and kept in the form by
+graph.per_form, and freed with it: its pointed-loop sampler
+(_loop_sampler), its step tables (_step_table, one per target) and its
+Cholesky factor (exact._factor).  The sampler's length and base-point
+tables come from one eigendecomposition.  Its conditioned step rows are
+memoised on the sampler, one per (base, steps left, vertex), each
+computed once from the Krylov columns P^m e_base of the first loop that
+misses it; at most MAX_CACHED_ROWS rows are kept, and they go with the
+sampler.  The cache changes no draw: a warm sampler draws what a fresh
+one draws.  Every walk that must end steps a _step_table in _walk, the
 one step loop of Wilson's branches, bridge excursions and absorbed walks:
 it stops on entering a vertex flagged in a stop list (the tree, the bridge
 target, or none) or the cemetery column, within MAX_STEPS steps.  Holding
@@ -49,7 +53,7 @@ from scipy.linalg.lapack import dpotrs
 from scipy.special import eval_hermitenorm
 
 from .exact import _factor
-from .graph import GraphError
+from .graph import GraphError, _root_index, per_form
 from .loops import PointedLoop, _check_alpha, _geometric_tail, _symmetrized, mu_nontrivial_total
 from .rng import as_generator
 
@@ -174,9 +178,7 @@ def _sparse_cdfs(M):
     return [_row(weights[i:j]) if i < j else () for i, j in spans], [column[i:j] for i, j in spans]
 
 
-_STEP_TABLES = weakref.WeakKeyDictionary()  # form -> {target: table}
-
-
+@per_form
 def _step_table(e, target=None):
     """Jump law of the chain as (cdf, column, V, stop): _sparse_cdfs rows,
     built once per form and target (the form's arrays are read-only).
@@ -190,27 +192,23 @@ def _step_table(e, target=None):
     of no weight (another component, a vertex with no edges) stays empty,
     and no bridge enters it.
     """
-    tables = _STEP_TABLES.setdefault(e, {})
-    table = tables.get(target)
-    if table is None:
-        if target is None:
-            n_comp, labels = e.connected_components
-            if e.transient and np.unique(labels[e.kappa > 0]).size < n_comp:
-                raise GraphError("some component is never killed: its walks never end")
-            if not e.transient and n_comp > 1:
-                raise GraphError("recurrent chain is disconnected: some walks never reach the root")
-            V = stop = None
-            M = np.hstack([e.C, e.kappa[:, None]]) / e.lam[:, None]
-        else:
-            V = np.zeros(e.n)
-            V[target] = e.lam[target]
-            V = dpotrs(_factor(e).T, V)[0]  # LAPACK potrs on the upper factor R.T, no copy of R
-            M = e.P * V
-            w = M.sum(axis=1, keepdims=True)
-            np.divide(M, w, out=M, where=w > 0)
-            stop = [v == target for v in range(e.n)]
-        table = tables[target] = (*_sparse_cdfs(M), V, stop)
-    return table
+    if target is None:
+        n_comp, labels = e.connected_components
+        if e.transient and np.unique(labels[e.kappa > 0]).size < n_comp:
+            raise GraphError("some component is never killed: its walks never end")
+        if not e.transient and n_comp > 1:
+            raise GraphError("recurrent chain is disconnected: some walks never reach the root")
+        V = stop = None
+        M = np.hstack([e.C, e.kappa[:, None]]) / e.lam[:, None]
+    else:
+        V = np.zeros(e.n)
+        V[target] = e.lam[target]
+        V = dpotrs(_factor(e).T, V)[0]  # LAPACK potrs on the upper factor R.T, no copy of R
+        M = e.P * V
+        w = M.sum(axis=1, keepdims=True)
+        np.divide(M, w, out=M, where=w > 0)
+        stop = [v == target for v in range(e.n)]
+    return (*_sparse_cdfs(M), V, stop)
 
 
 # step bound of every walk that must end (a Wilson branch, a bridge excursion,
@@ -369,16 +367,11 @@ def _tail_mass(w, k_cap):
             return total
 
 
-_SAMPLERS = weakref.WeakKeyDictionary()
-
-
+@per_form
 def _loop_sampler(e):
     """PointedLoopSampler of the form, built once per form and kept while
     the form lives."""
-    sampler = _SAMPLERS.get(e)
-    if sampler is None:
-        sampler = _SAMPLERS[e] = PointedLoopSampler(e)
-    return sampler
+    return PointedLoopSampler(e)
 
 
 def sample_pointed_loop(e, rng):
@@ -532,16 +525,10 @@ def wilson_sample(e, rng, root=None):
     occupation.
     """
     gen = as_generator(rng)
-    n = e.n
-    if e.transient and root is not None:
-        raise GraphError("root only applies to recurrent chains")
-    if not e.transient and root is None:
-        raise GraphError("recurrent chain needs an explicit root")
+    n, end = e.n, _root_index(e, root)
     table, lam = _step_table(e), e.lam.tolist()
-    in_tree = [False] * n
+    in_tree = [v == end for v in range(n)]
     parent, erased, trivial = [n] * n, [], np.zeros(n)
-    if root is not None:
-        in_tree[e.indices([root])[0]] = True
     for start in range(n):
         if in_tree[start]:
             continue

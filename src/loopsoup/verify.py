@@ -19,7 +19,7 @@ import numpy as np
 from scipy import stats as sstats
 
 from .exact import _logdet_posdef, _omega_matrix, green, partition_ratio, transfer_matrix
-from .graph import EnergyForm, GraphError, restrict, trace_on
+from .graph import EnergyForm, GraphError, _root_index, restrict, trace_on
 from .loops import (
     _geometric_tail,
     alpha_permanent,
@@ -157,10 +157,11 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _suite(name, fixture, n_samples, rng):
-    """Start time, generator and empty report of a sampled suite."""
+def _suite(name, n_samples, rng):
+    """Start time, generator and empty report of a sampled suite; the
+    report's fixture is "?" until a caller names it."""
     seed = getattr(rng, "seed", rng if isinstance(rng, int) else None)
-    return time.perf_counter(), as_generator(rng), VerificationReport(name, fixture, n_samples, seed)
+    return time.perf_counter(), as_generator(rng), VerificationReport(name, "?", n_samples, seed)
 
 
 def _mean_se(values):
@@ -275,16 +276,8 @@ def enumerate_spanning_trees(e, root=None):
     killed there: the root's children point at it and the root at n."""
     if e.n > 6:
         raise GraphError("spanning tree enumeration guard exceeded")
-    n, keep, end = e.n, np.arange(e.n), e.n
-    if e.transient:
-        if root is not None:
-            raise GraphError("root only applies to recurrent chains")
-    else:
-        if root is None:
-            raise GraphError("recurrent chain needs a root")
-        if root not in e.index:
-            raise GraphError(f"unknown root {root!r}")
-        end = e.index[root]
+    n, keep, end = e.n, np.arange(e.n), _root_index(e, root)
+    if end < n:
         keep = np.delete(keep, end)
         e = restrict(e, [e.vertices[i] for i in keep])
     Z = float(np.exp(green(e).logdet_G))
@@ -378,11 +371,11 @@ def default_involution(e):
 # suites
 
 
-def verify_dynkin(e, k=1, n_samples=0, rng=0, fixture="?"):
+def verify_dynkin(e, k=1, n_samples=0, rng=0):
     """L-hat at alpha=k/2 versus half the squared norm of k free fields:
     exact Isserlis-vs-permanent agreement, sampled joint moments up to
     order 3, and the bridge identity at k=1."""
-    t0, gen, report = _suite("dynkin", fixture, n_samples, rng)
+    t0, gen, report = _suite("dynkin", n_samples, rng)
     alpha = k / 2.0
     G = green(e).G
     verts = list(range(min(e.n, 2)))
@@ -391,8 +384,8 @@ def verify_dynkin(e, k=1, n_samples=0, rng=0, fixture="?"):
         multisets += [
             tuple(m) for m in itertools.combinations_with_replacement(verts, order)
         ]
-    for m in multisets:
-        per = alpha_permanent(G[np.ix_(m, m)], alpha)
+    perms = [alpha_permanent(G[np.ix_(m, m)], alpha) for m in multisets]
+    for m, per in zip(multisets, perms):
         iss = gaussian_squared_moment(G, m, k)
         name = "E[" + " ".join(f"L^{e.vertices[i]}" for i in m) + "]"
         report.add_exact("isserlis_vs_permanent " + name, per, iss, 1e-9)
@@ -401,8 +394,7 @@ def verify_dynkin(e, k=1, n_samples=0, rng=0, fixture="?"):
         z = gen.standard_normal((e.n, n_samples, k))
         phi = _field(e, z.reshape(e.n, -1)).reshape(z.shape)  # phi[x, s, copy]
         w = 0.5 * (phi**2).sum(axis=2).T
-        for m in multisets:
-            per = alpha_permanent(G[np.ix_(m, m)], alpha)
+        for m, per in zip(multisets, perms):
             name = " ".join(e.vertices[i] for i in m)
             mean, se = _mean_se(np.prod(occ[:, m], axis=1))
             report.add_stat(f"soup moment ({name})", per, mean, se)
@@ -425,30 +417,30 @@ def verify_dynkin(e, k=1, n_samples=0, rng=0, fixture="?"):
     return report.finalize(t0)
 
 
-def _inclusion_probability(e, tm, sub):
-    """P(the undirected edges tm.edges[sub] are all in the tree) =
-    prod C * det K[sub, sub] of the transfer matrix tm."""
-    conds = [e.C[e.index[x], e.index[y]] for x, y in (tm.edges[a] for a in sub)]
+def _inclusion_probability(c, K, sub):
+    """P(the undirected edges sub are all in the tree) = prod c[sub] *
+    det K[sub, sub], of the edges' conductances c and transfer matrix K."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite product is rejected below
-        p = float(np.prod(conds) * np.linalg.det(tm.K[np.ix_(sub, sub)]))
+        p = float(np.prod(c[sub]) * np.linalg.det(K[np.ix_(sub, sub)]))
     if not math.isfinite(p):
         raise GraphError("edge inclusion probability overflows")
     return p
 
 
-def verify_transfer_current(e, n_samples=0, rng=0, root=None, fixture="?"):
+def verify_transfer_current(e, n_samples=0, rng=0, root=None):
     """Spanning trees: exhaustive-law oracle, inclusion determinants of the
     edge sets {e_0}, {e_1} and {e_0, e_1}, the determinantal Laplace
     functional and negative association, on trees as parent-array rows."""
-    t0, gen, report = _suite("transfer_current", fixture, n_samples, rng)
+    t0, gen, report = _suite("transfer_current", n_samples, rng)
     iu, ju = np.nonzero(np.triu(e.C) > 0)
+    c = e.C[iu, ju]
     all_edges = [(e.vertices[i], e.vertices[j]) for i, j in zip(iu, ju)]
     tm = transfer_matrix(e, all_edges, root=root)
     subsets = [[0], [1], [0, 1]] if len(all_edges) >= 2 else [[0]] * len(all_edges)
     named_sets = []
     for sub in subsets:
         name = "+".join(f"{a}-{b}" for a, b in (all_edges[a] for a in sub))
-        named_sets.append((name, sub, _inclusion_probability(e, tm, sub)))
+        named_sets.append((name, sub, _inclusion_probability(c, tm.K, sub)))
     oracle = None
     if e.n <= 4:
         oracle, probs = enumerate_spanning_trees(e, root=root)
@@ -465,7 +457,7 @@ def verify_transfer_current(e, n_samples=0, rng=0, root=None, fixture="?"):
             residual=p12 - p1 * p2, tol=1e-12,
         )
     g = 0.3 + 0.1 * np.arange(len(all_edges))
-    d = np.sqrt(e.C[iu, ju] * (1 - np.exp(-g)))
+    d = np.sqrt(c * (1 - np.exp(-g)))
     laplace_exact = float(np.linalg.det(np.eye(len(all_edges)) - d[:, None] * tm.K * d[None, :]))
     if n_samples > 0:
         rows = np.empty((n_samples, e.n), dtype=int)  # filled in place: 10^4 row arrays in a list add 1.7 MB of peak RSS
@@ -492,10 +484,10 @@ def verify_transfer_current(e, n_samples=0, rng=0, root=None, fixture="?"):
     return report.finalize(t0)
 
 
-def verify_loop_erasure(e, x, y, n_samples=0, rng=0, fixture="?"):
+def verify_loop_erasure(e, x, y, n_samples=0, rng=0):
     """Loop-erased bridge law against prod C * det G_eta, plus the
     straight-to-cemetery probability kappa_x G^{xx}."""
-    t0, gen, report = _suite("loop_erasure", fixture, n_samples, rng)
+    t0, gen, report = _suite("loop_erasure", n_samples, rng)
     law, total, gxy = _erased_path_law(e, x, y)
     report.add_exact("sum of erased-path masses = G^{x,y}", gxy, total, 1e-9)
     i = e.index[x]
@@ -540,13 +532,12 @@ def _validate_involution(e, rho, partition):
     return xp, xm, x0
 
 
-def verify_reflection_positivity(e, rho, partition=None, counterexample_sets=None,
-                                 fixture="?"):
+def verify_reflection_positivity(e, rho, partition=None, counterexample_sets=None):
     """Positivity-side checks (PSD Gram over exponential functionals, NPD
     tree-inclusion covariance) and, when counterexample_sets names the two
     midpoint pairs, the exact strictly-negative loop-functional value."""
     t0 = time.perf_counter()
-    report = VerificationReport("reflection_positivity", fixture, 0, None)
+    report = VerificationReport("reflection_positivity", "?", 0, None)
     if partition is None:
         # take one vertex of each rho-orbit, preferring the lexicographically
         # smaller name, so {v, rho(v)} splits into X+ and X-
@@ -554,8 +545,8 @@ def verify_reflection_positivity(e, rho, partition=None, counterexample_sets=Non
         partition = (xp, [rho[v] for v in xp], [])
     xp, xm, x0 = _validate_involution(e, rho, partition)
     et = e if not x0 else trace_on(e, xp + xm)
-    ip = et.indices(xp)
-    cross = et.C[np.ix_(ip, et.indices([rho[v] for v in xp]))]
+    ip, im = et.indices(xp), et.indices([rho[v] for v in xp])
+    cross = et.C[np.ix_(ip, im)]
     eigs = np.linalg.eigvalsh((cross + cross.T) / 2)
     report.add_bool(
         "cross conductance matrix nonnegative definite", eigs.min() >= -1e-9,
@@ -585,21 +576,18 @@ def verify_reflection_positivity(e, rho, partition=None, counterexample_sets=Non
         "free-field Gram PSD", gram_eigs.min() >= -1e-9 * max(1.0, abs(M).max()),
         residual=float(gram_eigs.min() / max(1.0, abs(M).max())), tol=1e-9,
     )
-    plus_edges = [
-        (xp[i], xp[j])
-        for i in range(len(xp))
-        for j in range(len(xp))
-        if i < j and et.C[et.index[xp[i]], et.index[xp[j]]] > 0
-    ]
-    if plus_edges:
-        m = len(plus_edges)
+    pa, pb = np.nonzero(np.triu(et.C[np.ix_(ip, ip)] > 0, 1))  # the plus edges {xp[pa], xp[pb]}
+    if pa.size:
+        m = pa.size
         # one transfer matrix: the plus edges, then their mirrors
-        tm = transfer_matrix(et, plus_edges + [(rho[x], rho[y]) for x, y in plus_edges])
-        singles = [_inclusion_probability(et, tm, [a]) for a in range(m)]
+        edges = [(xp[i], xp[j]) for i, j in zip(pa, pb)]
+        K = transfer_matrix(et, edges + [(rho[x], rho[y]) for x, y in edges]).K
+        c = et.C[np.r_[ip[pa], im[pa]], np.r_[ip[pb], im[pb]]]
+        singles = [_inclusion_probability(c, K, [a]) for a in range(m)]
         Kcov = np.empty((m, m))
         for a in range(m):
             for b in range(m):
-                Kcov[a, b] = _inclusion_probability(et, tm, [a, m + b]) - singles[a] * singles[b]
+                Kcov[a, b] = _inclusion_probability(c, K, [a, m + b]) - singles[a] * singles[b]
         cov_eigs = np.linalg.eigvalsh((Kcov + Kcov.T) / 2)
         report.add_bool(
             "tree-inclusion covariance nonpositive definite",
@@ -623,11 +611,10 @@ def verify_reflection_positivity(e, rho, partition=None, counterexample_sets=Non
     return report.finalize(t0)
 
 
-def verify_energy_variation(e, e2=None, omega=None, alpha=1.0, n_samples=0,
-                            rng=0, fixture="?"):
+def verify_energy_variation(e, e2=None, omega=None, alpha=1.0, n_samples=0, rng=0):
     """Multiplicative loop functionals against partition-function ratios,
     plus finite-difference derivative and Schwinger-function checks."""
-    t0, gen, report = _suite("energy_variation", fixture, n_samples, rng)
+    t0, gen, report = _suite("energy_variation", n_samples, rng)
     if e2 is None:
         e2 = e
     if e.vertices != e2.vertices:
@@ -718,11 +705,11 @@ def verify_energy_variation(e, e2=None, omega=None, alpha=1.0, n_samples=0,
     return report.finalize(t0)
 
 
-def verify_zeta(e, m_max=8, fixture="?"):
+def verify_zeta(e, m_max=8):
     """Three-way integer agreement of the non-backtracking counts and the
     zeta values on a grid."""
     t0 = time.perf_counter()
-    report = VerificationReport("zeta", fixture, 0, None)
+    report = VerificationReport("zeta", "?", 0, None)
     u_max = _u_max(e)
     grid = [0.2 * u_max, 0.5 * u_max]
     zr = zeta_ihara(e, grid, m_max)
@@ -748,10 +735,10 @@ def verify_zeta(e, m_max=8, fixture="?"):
     return report.finalize(t0)
 
 
-def verify_occupation_marginals(e, n_samples=0, rng=0, fixture="?"):
+def verify_occupation_marginals(e, n_samples=0, rng=0):
     """Gamma marginals, geometric visit counts and the renormalized-power
     orthogonality, exact and sampled, at alpha = 0.5, 1 and 2."""
-    t0, gen, report = _suite("occupation", fixture, n_samples, rng)
+    t0, gen, report = _suite("occupation", n_samples, rng)
     G = green(e).G
     x, y = e.vertices[0], e.vertices[min(1, e.n - 1)]
     i, j = e.index[x], e.index[y]

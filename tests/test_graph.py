@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import loopsoup as ls
-from loopsoup.graph import GraphError
+from loopsoup.graph import GraphError, _root_index, per_form
+from loopsoup.verify import enumerate_spanning_trees
 
 from conftest import random_energy_form
 
@@ -99,6 +100,55 @@ def test_connected_components_computed_once_per_form(monkeypatch):
     C[0, 1] = C[1, 0] = 1.0
     split = ls.EnergyForm(["a", "b", "c"], C, np.ones(3), require_connected=False)
     assert split.connected_components[0] == 2 and len(calls) == 2
+
+
+def test_per_form_keeps_one_value_per_form_and_key(p2, k4c1):
+    calls = []
+
+    @per_form
+    def derived(e, key=None):
+        calls.append((e.n, key))
+        return object()
+
+    assert derived(p2) is derived(p2, None) is derived(p2)
+    assert derived(p2, 1) is derived(p2, 1) is not derived(p2)
+    assert derived(k4c1) is not derived(p2)
+    assert calls == [(2, None), (2, 1), (4, None)]
+
+
+def test_per_form_does_not_keep_a_failure(p2):
+    calls = []
+
+    @per_form
+    def failing(e):
+        calls.append(1)
+        raise GraphError("no value")
+
+    for _ in range(2):
+        with pytest.raises(GraphError, match="no value"):
+            failing(p2)
+    assert len(calls) == 2
+
+
+def test_root_index(p2, k4_rooted):
+    assert _root_index(p2, None) == 2
+    assert _root_index(k4_rooted, "c") == 2
+
+
+@pytest.mark.parametrize("run", [
+    lambda e, root: _root_index(e, root),
+    lambda e, root: ls.wilson_sample(e, ls.RngStream(0), root=root),
+    lambda e, root: ls.transfer_matrix(e, [("a", "b")], root=root),
+    lambda e, root: enumerate_spanning_trees(e, root=root),
+], ids=["root_index", "wilson", "transfer_matrix", "spanning_trees"])
+@pytest.mark.parametrize("form, root, match", [
+    ("k4c1", "a", "root only applies to recurrent chains"),
+    ("k4_rooted", None, "recurrent chain needs a root"),
+    ("k4_rooted", "zz", "unknown root 'zz'"),
+])
+def test_every_root_check_says_the_same(run, form, root, match):
+    with pytest.raises(GraphError, match=match):
+        run(ls.load_energy_form(ls.fixture(form)), root)
 
 
 def test_isolated_vertex_without_killing_rejected():

@@ -210,6 +210,27 @@ def test_memoised_loop_sampler_does_not_keep_its_form_alive():
     assert form() is None
 
 
+def test_derived_objects_make_no_cycle_with_their_form():
+    # refcounting alone frees a form and everything memoised in it: a cycle
+    # (a sampler holding its form strongly) would wait for the cyclic collector
+    e = killed_box(4, seed=0)
+    ls.sample_loop_soup(e, 1.0, ls.RngStream(0))
+    ls.sample_bridge(e, "0", "5", ls.RngStream(1))
+    ls.wilson_sample(e, ls.RngStream(2))
+    form = weakref.ref(e)
+    gc.disable()
+    try:
+        del e
+        assert form() is None
+    finally:
+        gc.enable()
+
+
+def test_walk_table_is_one_entry_with_or_without_a_target(k4c1):
+    assert _step_table(k4c1) is _step_table(k4c1, None)
+    assert _step_table(k4c1, 0) is not _step_table(k4c1)
+
+
 def test_soup_occupation_mean(p2):
     rng = ls.RngStream(42)
     n = 20000
