@@ -258,7 +258,7 @@ def main(argv=None):
         if unknown:  # an option the command does not take, such as --alpha on most suites
             raise GraphError(f"unrecognized arguments: {' '.join(unknown)}")
         return args.func(args)
-    except (GraphError, FileNotFoundError) as err:
+    except (GraphError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -146,21 +146,29 @@ class EnergyForm:
 
 
 def load_energy_form(source):
-    """Build an EnergyForm from a graph document.
-
-    Accepts a dict, a JSON string, or a path to a JSON file with schema
+    """Build an EnergyForm from a graph document: a dict, or a path to a
+    JSON file, with schema
     {"vertices": [...], "edges": [[u, v, w], ...], "killing": {v: k}}.
-    Missing killing entries default to 0.  Duplicate edges are an error.
+    Missing killing entries default to 0.  Duplicate edges are an error,
+    and so is a document that does not parse: GraphError, with OSError for
+    a path that cannot be read.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            doc = json.loads(text)
+    try:
+        if isinstance(source, dict):
+            doc = source
         else:
-            with open(text) as fh:
+            with open(str(source), "rb") as fh:
                 doc = json.load(fh)
+        vertices, C, kappa = _parse_document(doc)
+    except GraphError:
+        raise
+    except (AttributeError, TypeError, ValueError) as err:  # ValueError covers JSON and UTF-8 errors
+        raise GraphError(f"malformed graph document: {err}") from None
+    return EnergyForm(vertices, C, kappa)
+
+
+def _parse_document(doc):
+    """Vertex names, conductance matrix and killing vector of a document."""
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise GraphError("document must be an object with a 'vertices' list")
     vertices = [str(v) for v in doc["vertices"]]
@@ -186,7 +194,7 @@ def load_energy_form(source):
         if str(v) not in index:
             raise GraphError(f"killing entry references unknown vertex {v!r}")
         kappa[index[str(v)]] = float(k)
-    return EnergyForm(vertices, C, kappa)
+    return vertices, C, kappa
 
 
 def _root_index(e, root):

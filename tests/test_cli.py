@@ -202,6 +202,48 @@ def test_non_finite_graph_exit_two(tmp_path, capsys, doc):
     assert err.startswith("error: non-finite") and "Traceback" not in err
 
 
+MALFORMED = {
+    "not_json": b'{"vertices": [',
+    "not_utf8": b'{"vertices": ["\xe9"], "killing": {}}',
+    "bad_weight": b'{"vertices": ["x", "y"], "edges": [["x", "y", "x"]], "killing": {"x": 1}}',
+    "bad_killing": b'{"vertices": ["x", "y"], "edges": [["x", "y", 1]], "killing": {"x": "x"}}',
+    "vertices_number": b'{"vertices": 5}',
+    "edge_number": b'{"vertices": ["x", "y"], "edges": [5], "killing": {"x": 1}}',
+    "killing_list": b'{"vertices": ["x", "y"], "edges": [["x", "y", 1]], "killing": [1]}',
+}
+
+
+def _malformed_argv(tmp_path, case, command):
+    """argv of a command on a malformed document, or with a path that cannot
+    be read or written: a directory as the graph or as -o, or JSON text in
+    place of a path."""
+    good = tmp_path / "p2.json"
+    good.write_text(json.dumps(ls.fixture("p2")))
+    graph, extra = str(good), []
+    if case in MALFORMED:
+        graph = str(tmp_path / f"{case}.json")
+        (tmp_path / f"{case}.json").write_bytes(MALFORMED[case])
+    elif case == "graph_directory":
+        graph = str(tmp_path)
+    elif case == "output_directory":
+        extra = ["-o", str(tmp_path)]
+    elif case == "json_text":
+        graph = json.dumps(ls.fixture("p2"))
+    if command == "green":
+        return ["green", graph, *extra]
+    return ["verify", "dynkin", "--graph", graph, "-n", "10", *extra]
+
+
+@pytest.mark.parametrize("command", ["green", "verify_dynkin"])
+@pytest.mark.parametrize("case", [*MALFORMED, "graph_directory", "output_directory", "json_text"])
+def test_malformed_document_exit_two(tmp_path, capsys, case, command):
+    # exit 1 means a failed verification, so an unreadable input must not give it
+    code, out, err = run(capsys, *_malformed_argv(tmp_path, case, command))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -16,10 +16,40 @@ def test_load_from_dict(p2):
     assert p2.transient
 
 
-def test_load_from_json_string():
+def test_a_string_is_always_a_path(tmp_path, monkeypatch):
+    # JSON text is not parsed: it names a file
     doc = json.dumps(ls.fixture("p2"))
-    e = ls.load_energy_form(doc)
-    assert e.vertices == ("x", "y")
+    with pytest.raises(FileNotFoundError):
+        ls.load_energy_form(doc)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "{p2}.json").write_text(doc)
+    assert ls.load_energy_form("{p2}.json").vertices == ("x", "y")
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"vertices": 5}, "not iterable"),
+    ({"vertices": ["x", "y"], "edges": [5]}, "has no len"),
+    ({"vertices": ["x", "y"], "edges": [["x", "y", "w"]]}, "could not convert"),
+    ({"vertices": ["x", "y"], "edges": [["x", "y", None]]}, "must be a string or a real number"),
+    ({"vertices": ["x"], "killing": {"x": "k"}}, "could not convert"),
+    ({"vertices": ["x"], "killing": [1]}, "no attribute 'items'"),
+])
+def test_malformed_document_rejected(doc, match):
+    with pytest.raises(GraphError, match="malformed graph document: .*" + match):
+        ls.load_energy_form(doc)
+
+
+@pytest.mark.parametrize("raw", [b'{"vertices": [', b'{"vertices": ["\xe9"]}'], ids=["json", "utf8"])
+def test_unparsable_file_rejected(tmp_path, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    with pytest.raises(GraphError, match="malformed graph document"):
+        ls.load_energy_form(str(path))
+
+
+def test_duplicate_vertex_rejected():
+    with pytest.raises(GraphError, match="without duplicates"):
+        ls.load_energy_form({"vertices": ["x", "y", "x"], "edges": [["x", "y", 1.0]], "killing": {"x": 1}})
 
 
 def test_load_from_path(tmp_path):
