@@ -4,10 +4,10 @@ matrices, hitting kernels, capacities and twisted partition functions.
 Everything here is a closed-form determinant or inverse of the energy
 matrix M_lambda - C = R R^T, whose Cholesky factor R (_factor) is taken
 once per form and kept in it (graph.per_form); samplers and Monte Carlo
-checks live elsewhere.  Every Green
-function, of the form or of a derived chain (killed outside D, with chi
-added to its killing, or a recurrent chain killed at its root), is green()
-of that chain's EnergyForm, so it comes from that chain's factor.
+checks live elsewhere.  Every Green function, of the form or of a derived
+chain (killed outside D, with chi added to its killing, or a recurrent
+chain killed at its root), is green() of that chain's EnergyForm, so it
+comes from that chain's factor.
 
 Every determinant here is real and positive, so _logdet_posdef is the one
 log-determinant.  For a transient chain and an antisymmetric one-form

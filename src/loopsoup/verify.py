@@ -78,9 +78,9 @@ class Check:
 @dataclass
 class VerificationReport:
     suite: str
-    fixture: str
-    n_samples: int
-    seed: object
+    fixture: str = "?"  # the graph document, named by the CLI
+    n_samples: int = 0
+    seed: object = None
     checks: list = field(default_factory=list)
     wall_time: float = 0.0
 
@@ -158,10 +158,9 @@ class VerificationReport:
 
 
 def _suite(name, n_samples, rng):
-    """Start time, generator and empty report of a sampled suite; the
-    report's fixture is "?" until a caller names it."""
+    """Start time, generator and empty report of a sampled suite."""
     seed = getattr(rng, "seed", rng if isinstance(rng, int) else None)
-    return time.perf_counter(), as_generator(rng), VerificationReport(name, "?", n_samples, seed)
+    return time.perf_counter(), as_generator(rng), VerificationReport(name, n_samples=n_samples, seed=seed)
 
 
 def _mean_se(values):
@@ -537,7 +536,7 @@ def verify_reflection_positivity(e, rho, partition=None, counterexample_sets=Non
     tree-inclusion covariance) and, when counterexample_sets names the two
     midpoint pairs, the exact strictly-negative loop-functional value."""
     t0 = time.perf_counter()
-    report = VerificationReport("reflection_positivity", "?", 0, None)
+    report = VerificationReport("reflection_positivity")
     if partition is None:
         # take one vertex of each rho-orbit, preferring the lexicographically
         # smaller name, so {v, rho(v)} splits into X+ and X-
@@ -709,7 +708,7 @@ def verify_zeta(e, m_max=8):
     """Three-way integer agreement of the non-backtracking counts and the
     zeta values on a grid."""
     t0 = time.perf_counter()
-    report = VerificationReport("zeta", "?", 0, None)
+    report = VerificationReport("zeta")
     u_max = _u_max(e)
     grid = [0.2 * u_max, 0.5 * u_max]
     zr = zeta_ihara(e, grid, m_max)
