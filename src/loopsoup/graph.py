@@ -159,42 +159,38 @@ def load_energy_form(source):
         else:
             with open(str(source), "rb") as fh:
                 doc = json.load(fh)
-        vertices, C, kappa = _parse_document(doc)
+        if not isinstance(doc, dict) or "vertices" not in doc:
+            raise GraphError("document must be an object with a 'vertices' list")
+        vertices = [str(v) for v in doc["vertices"]]
+        index = {v: i for i, v in enumerate(vertices)}  # EnergyForm rejects a duplicate vertex
+        n = len(vertices)
+        C = np.zeros((n, n))
+        seen = set()
+        for edge in doc.get("edges", []):
+            if len(edge) != 3:
+                raise GraphError(f"malformed edge entry {edge!r}")
+            u, v, w = str(edge[0]), str(edge[1]), float(edge[2])
+            if u not in index or v not in index:
+                raise GraphError(f"edge ({u!r}, {v!r}) references unknown vertex")
+            if u == v:
+                raise GraphError(f"self-loop edge at vertex {u!r}")
+            i, j = index[u], index[v]
+            if (i, j) in seen:
+                raise GraphError(f"duplicate edge ({u!r}, {v!r})")
+            seen.update({(i, j), (j, i)})
+            C[i, j] = C[j, i] = w
+        kappa = np.zeros(n)
+        for v, k in doc.get("killing", {}).items():
+            if str(v) not in index:
+                raise GraphError(f"killing entry references unknown vertex {v!r}")
+            kappa[index[str(v)]] = float(k)
     except GraphError:
         raise
-    except (AttributeError, TypeError, ValueError) as err:  # ValueError covers JSON and UTF-8 errors
+    # ValueError covers JSON and UTF-8 errors, OverflowError a number too large
+    # for a float, RecursionError JSON nested too deeply to parse
+    except (AttributeError, TypeError, ValueError, OverflowError, RecursionError) as err:
         raise GraphError(f"malformed graph document: {err}") from None
     return EnergyForm(vertices, C, kappa)
-
-
-def _parse_document(doc):
-    """Vertex names, conductance matrix and killing vector of a document."""
-    if not isinstance(doc, dict) or "vertices" not in doc:
-        raise GraphError("document must be an object with a 'vertices' list")
-    vertices = [str(v) for v in doc["vertices"]]
-    index = {v: i for i, v in enumerate(vertices)}  # EnergyForm rejects a duplicate vertex
-    n = len(vertices)
-    C = np.zeros((n, n))
-    seen = set()
-    for edge in doc.get("edges", []):
-        if len(edge) != 3:
-            raise GraphError(f"malformed edge entry {edge!r}")
-        u, v, w = str(edge[0]), str(edge[1]), float(edge[2])
-        if u not in index or v not in index:
-            raise GraphError(f"edge ({u!r}, {v!r}) references unknown vertex")
-        if u == v:
-            raise GraphError(f"self-loop edge at vertex {u!r}")
-        i, j = index[u], index[v]
-        if (i, j) in seen:
-            raise GraphError(f"duplicate edge ({u!r}, {v!r})")
-        seen.update({(i, j), (j, i)})
-        C[i, j] = C[j, i] = w
-    kappa = np.zeros(n)
-    for v, k in doc.get("killing", {}).items():
-        if str(v) not in index:
-            raise GraphError(f"killing entry references unknown vertex {v!r}")
-        kappa[index[str(v)]] = float(k)
-    return vertices, C, kappa
 
 
 def _root_index(e, root):

@@ -210,6 +210,9 @@ MALFORMED = {
     "vertices_number": b'{"vertices": 5}',
     "edge_number": b'{"vertices": ["x", "y"], "edges": [5], "killing": {"x": 1}}',
     "killing_list": b'{"vertices": ["x", "y"], "edges": [["x", "y", 1]], "killing": [1]}',
+    "huge_weight": b'{"vertices": ["x", "y"], "edges": [["x", "y", 1' + b"0" * 400 + b']], "killing": {"x": 1}}',
+    "huge_killing": b'{"vertices": ["x", "y"], "edges": [["x", "y", 1]], "killing": {"x": 1' + b"0" * 400 + b'}}',
+    "deep_nesting": b'{"vertices": ' + b"[" * 100000 + b"]" * 100000 + b"}",
 }
 
 

@@ -33,13 +33,17 @@ def test_a_string_is_always_a_path(tmp_path, monkeypatch):
     ({"vertices": ["x", "y"], "edges": [["x", "y", None]]}, "must be a string or a real number"),
     ({"vertices": ["x"], "killing": {"x": "k"}}, "could not convert"),
     ({"vertices": ["x"], "killing": [1]}, "no attribute 'items'"),
+    ({"vertices": ["x", "y"], "edges": [["x", "y", 10**400]]}, "too large to convert to float"),
+    ({"vertices": ["x"], "killing": {"x": 10**400}}, "too large to convert to float"),
 ])
 def test_malformed_document_rejected(doc, match):
     with pytest.raises(GraphError, match="malformed graph document: .*" + match):
         ls.load_energy_form(doc)
 
 
-@pytest.mark.parametrize("raw", [b'{"vertices": [', b'{"vertices": ["\xe9"]}'], ids=["json", "utf8"])
+@pytest.mark.parametrize("raw", [b'{"vertices": [', b'{"vertices": ["\xe9"]}',
+                                 b'{"vertices": ' + b"[" * 100000 + b"]" * 100000 + b"}"],
+                         ids=["json", "utf8", "deep"])
 def test_unparsable_file_rejected(tmp_path, raw):
     path = tmp_path / "bad.json"
     path.write_bytes(raw)

@@ -1,11 +1,11 @@
 """False-failure rates of one sampled verify suite over fresh streams.
 
 Runs `loopsoup verify SUITE --graph GRAPH -n N` as the CLI runs it (the
-CLI's own runner and option defaults), once for each fresh stream
-RngStream(s, 7), s = first .. first + streams - 1, and prints how often
-the suite and each of its checks failed, with each check's largest |z|.
+CLI's own runner and option defaults), once for each of the 100 fresh
+streams RngStream(s, 7), s = 0 .. 99, and prints how often the suite and
+each of its checks failed, with each check's largest |z|.
 
-    python3 tools/calibrate.py dynkin k4c1 -n 1000 --streams 100
+    python3 tools/calibrate.py dynkin k4c1 -n 1000
 
 GRAPH is a bundled fixture name or a path to a graph document.  BLAS is
 pinned to one thread, as in the tests and the benchmark.  The form is
@@ -33,15 +33,13 @@ def main(argv=None):
     parser.add_argument("suite", choices=[name for name, (_, sampled) in cli.SUITES.items() if sampled])
     parser.add_argument("graph", help="fixture name or graph document path")
     parser.add_argument("-n", "--samples", type=int, default=10000)
-    parser.add_argument("--streams", type=int, default=100)
-    parser.add_argument("--first", type=int, default=0, help="seed of the first stream")
     opts = parser.parse_args(argv)
 
     graph = opts.graph
     e = ls.load_energy_form(ls.fixture(graph) if graph in ls.FIXTURES else graph)
     args = cli.build_parser().parse_args(["verify", opts.suite, "--graph", graph, "-n", str(opts.samples)])
     fails, max_z, names, failed_runs = Counter(), {}, [], []
-    seeds = range(opts.first, opts.first + opts.streams)
+    seeds = range(100)
     for s in seeds:
         report = args.run(e, args, n_samples=opts.samples, rng=ls.RngStream(s, STREAM))
         for c in report.checks:
