@@ -9,6 +9,13 @@ chain (killed outside D, with chi added to its killing, or a recurrent
 chain killed at its root), is green() of that chain's EnergyForm, so it
 comes from that chain's factor.
 
+green() works along the band of R: cut into blocks of rows at least as
+tall as the band is wide, R is block lower-bidiagonal, and G follows block
+row by block row from the last one, in O(n^2 b) work for half-bandwidth b
+(a killed L x L box numbered row by row has b = L).  A form of at most 32
+vertices, or one whose band fills its matrix, is a single block: its G is
+LAPACK potri of R.
+
 Every determinant here is real and positive, so _logdet_posdef is the one
 log-determinant.  For a transient chain and an antisymmetric one-form
 omega, A = M_lambda - C e^{i omega} is Hermitian, and |x* (C e^{i omega}) x|
@@ -19,6 +26,7 @@ definite, so log det A is real and has no branch to track.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotri
 
 from .graph import EnergyForm, GraphError, _root_index, per_form, restrict
@@ -99,14 +107,62 @@ def _logdet_green(e):
     return -2.0 * float(np.log(np.diagonal(_factor(e))).sum())
 
 
+@per_form
+def _bandwidth(e):
+    """Half-bandwidth b, the largest i - j over C_ij != 0 (0 without
+    edges): the energy matrix and its factor R vanish more than b below
+    the diagonal."""
+    nz = e.C != 0
+    below = np.arange(e.n) - nz.argmax(axis=1)  # i - the first nonzero column of row i
+    return int(below[nz.any(axis=1)].max(initial=0))
+
+
+def _block_rows(e):
+    """Rows per block of green(): s = max(b + 1, 32), b = _bandwidth(e)."""
+    return max(_bandwidth(e) + 1, 32)
+
+
 def green(e):
     """Green function G = (M_lambda - C)^{-1} of a transient chain, from its
-    Cholesky factor R: log det G is _logdet_green, and LAPACK potri fills
-    one triangle of G, mirrored into the other.  The caller owns G."""
+    Cholesky factor R by block back-substitution along the band; log det G
+    is _logdet_green.  The caller owns G.
+
+    The rows are cut into blocks of s = _block_rows(e) = max(b + 1, 32),
+    b = _bandwidth(e).  R vanishes more than b below its diagonal and
+    s >= b, so R is block lower-bidiagonal: D_k = R[k,k], E_k = R[k,k-1]
+    and zero blocks elsewhere.  R^T G = R^{-1} is lower triangular with
+    diagonal blocks D_k^{-1}, so its block row k gives, from the last block
+    up and with W = D_k^{-T} E_{k+1}^T,
+
+        G[k,>k] = -W G[k+1,>k],    G[k,k] = potri(D_k) + W G[k+1,k+1] W^T,
+
+    where potri(D) = (D D^T)^{-1}.  G[k,>k] is copied into G[>k,k], and the
+    lower triangle of G[k,k] into its upper one, so G is exactly symmetric.
+    The work is O(n^2 s), against O(n^3) for potri of R.  A form with n <= s
+    (every form of at most 32 vertices, and any whose band fills the matrix)
+    is one block, and its G is LAPACK potri of R itself.
+    """
+    R = _factor(e)
+    n = e.n
+    s = _block_rows(e)
+    G = np.empty((n, n)) if n > s else None
+    for a in range(s * ((n - 1) // s), -1, -s):
+        c = min(a + s, n)
+        Gkk = dpotri(R[a:c, a:c].T)[0].T  # potri on the upper factor D_k^T: lower triangle set
+        if c < n:
+            d = min(c + s, n)
+            W = solve_triangular(R[a:c, a:c], R[c:d, a:c].T, trans="T", lower=True)
+            WG = W @ G[c:d, c:]
+            G[a:c, c:] = -WG
+            G[c:, a:c] = G[a:c, c:].T
+            Gkk += WG[:, : d - c] @ W.T
+        for j in range(c - a - 1):  # mirror the lower triangle, so G[k,k] is exactly symmetric
+            Gkk[j, j + 1 :] = Gkk[j + 1 :, j]
+        if G is None:  # one block: G is potri's own output
+            G = Gkk
+        else:
+            G[a:c, a:c] = Gkk
     logdet_G = _logdet_green(e)
-    G = dpotri(_factor(e).T)[0].T  # potri on the upper factor R.T: G is C-ordered, lower triangle set
-    for j in range(e.n - 1):
-        G[j, j + 1 :] = G[j + 1 :, j]
     # log det(I-P) = log det(M_lambda - C) - sum log lambda
     logdet_IminusP = -logdet_G - float(np.log(e.lam).sum())
     return GreenBundle(e.vertices, G, logdet_G, logdet_IminusP)

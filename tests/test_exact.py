@@ -2,11 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpotri
 
 import loopsoup as ls
-from loopsoup.exact import _factor, _logdet_posdef, _omega_matrix, hitting_kernel
+from loopsoup.exact import _bandwidth, _factor, _logdet_posdef, _omega_matrix, hitting_kernel
 from loopsoup.graph import GraphError
 from loopsoup.verify import enumerate_spanning_trees
 
@@ -48,10 +49,50 @@ _TRANSIENT_FIXTURES = sorted(
 )
 
 
+def shuffled_box(L, seed):
+    """killed_box(L, seed) with its vertices shuffled, and the neighbours 0
+    and 1 put first and last: the half-bandwidth is n - 1."""
+    e = killed_box(L, seed)
+    rest = np.random.default_rng(seed).permutation(np.arange(2, e.n))
+    order = np.concatenate(([0], rest, [1]))
+    return ls.EnergyForm([e.vertices[i] for i in order], e.C[np.ix_(order, order)], e.kappa[order])
+
+
+def _potri_green(e):
+    """G as LAPACK potri of the whole factor, lower triangle mirrored."""
+    G = dpotri(_factor(e).T)[0].T
+    for j in range(e.n - 1):
+        G[j, j + 1 :] = G[j + 1 :, j]
+    return G
+
+
+def test_bandwidth_is_the_widest_edge():
+    assert _bandwidth(killed_box(1, 0)) == 0  # no edges
+    for L in (2, 5, 7, 12, 33):
+        for e, b in ((killed_box(L, L), L), (shuffled_box(L, L), L * L - 1)):
+            i, j = np.nonzero(e.C)
+            assert _bandwidth(e) == np.abs(i - j).max() == b
+
+
+@pytest.mark.parametrize(
+    "e",
+    [ls.load_energy_form(ls.fixture(name)) for name in _TRANSIENT_FIXTURES]
+    + [killed_box(5, 3), shuffled_box(7, 3)],
+    ids=repr,
+)
+def test_one_block_green_is_potri_bit_for_bit(e):
+    # n <= 32, or a band that fills the matrix: G is potri of the factor
+    assert e.n <= 32 or _bandwidth(e) == e.n - 1
+    assert ls.green(e).G.tobytes() == _potri_green(e).tobytes()
+
+
 @given(
     st.sampled_from(_TRANSIENT_FIXTURES).map(lambda name: ls.load_energy_form(ls.fixture(name)))
-    | st.builds(killed_box, st.integers(1, 9), st.integers(0, 10**6))
+    | st.builds(killed_box, st.integers(1, 12), st.integers(0, 10**6))
+    | st.builds(shuffled_box, st.integers(6, 8), st.integers(0, 10**6))
 )
+# b = 33 > 32: blocks of b + 1 = 34 rows, the last one a single row
+@example(killed_box(33, 5))
 @settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.too_slow])
 def test_green_matches_inv_and_slogdet(e):
     b = ls.green(e)
@@ -325,8 +366,18 @@ def _derived_chain_forms():
     return [random_energy_form(rng, n=n, transient=t) for t in (True, False) for n in (4, 5, 6)]
 
 
+# a killed 7x7 box: n = 49, two blocks in green, and so are most of its
+# restrictions
+_BOX = killed_box(7, 7)
+
+
 def _proper_subsets(e):
-    return [list(e.vertices[:k]) for k in (1, e.n // 2, e.n - 1)]
+    """The first 1, n/2 and n - 1 vertices; on _BOX also its middle row and
+    its middle column, whose complements are disconnected."""
+    subsets = [list(e.vertices[:k]) for k in (1, e.n // 2, e.n - 1)]
+    if e is _BOX:
+        subsets += [list(e.vertices[21:28]), list(e.vertices[3::7])]
+    return subsets
 
 
 def _ref_rooted_green(e, root):
@@ -360,14 +411,14 @@ def _ref_spanning_trees(e, root):
     return trees
 
 
-@pytest.mark.parametrize("e", _derived_chain_forms(), ids=repr)
+@pytest.mark.parametrize("e", _derived_chain_forms() + [_BOX], ids=repr)
 def test_green_chi_matches_inverse(e):
     rng = np.random.default_rng(e.n)
     for chi in (rng.uniform(0, 2, size=e.n), np.eye(e.n)[e.n - 1]):
         assert _close(ls.green_chi(e, chi), np.linalg.inv(e.laplacian() + np.diag(chi)))
 
 
-@pytest.mark.parametrize("e", _derived_chain_forms(), ids=repr)
+@pytest.mark.parametrize("e", _derived_chain_forms() + [_BOX], ids=repr)
 def test_hitting_kernel_matches_inverse(e):
     for F in _proper_subsets(e):
         idxF = e.indices(F)
@@ -378,7 +429,7 @@ def test_hitting_kernel_matches_inverse(e):
         assert np.array_equal(H[idxF], np.eye(len(F)))
 
 
-@pytest.mark.parametrize("e", _derived_chain_forms(), ids=repr)
+@pytest.mark.parametrize("e", _derived_chain_forms() + [_BOX], ids=repr)
 def test_trace_on_matches_inverse(e):
     # a recurrent chain traced on one vertex has lambda = 0 there: no form
     for F in [F for F in _proper_subsets(e) if e.transient or len(F) > 1]:

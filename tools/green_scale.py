@@ -1,0 +1,61 @@
+"""Time the Cholesky factor and the Green function on killed L x L boxes.
+
+Each box is perfbench/inputs.py's, drawn from default_rng([1, L]).  For
+each it prints n, the half-bandwidth b, the number of row blocks green()
+works in, the time of exact._factor (once, on a fresh form), the best of
+three calls of green(), and max |L G - I| with L the energy matrix.
+
+    python3 tools/green_scale.py [L ...]
+
+L defaults to 16 32 48 64.  BLAS is pinned to one thread, as in the tests
+and the benchmark.  The 64 x 64 box takes about 0.8 GB at its peak.
+"""
+
+import os
+import pathlib
+import sys
+import time
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import inputs  # noqa: E402
+import loopsoup as ls  # noqa: E402
+from loopsoup.exact import _bandwidth, _block_rows, _factor  # noqa: E402
+
+
+def residual(e, G, cols=512):
+    """max |L G - I|, a block of columns at a time."""
+    L = e.laplacian()
+    worst = 0.0
+    for a in range(0, e.n, cols):
+        block = L @ G[:, a : a + cols]
+        block[a + np.arange(block.shape[1]), np.arange(block.shape[1])] -= 1.0
+        worst = max(worst, float(np.abs(block).max()))
+    return worst
+
+
+def main(argv):
+    sizes = [int(arg) for arg in argv[1:]] or [16, 32, 48, 64]
+    print(f"{'L':>3} {'n':>5} {'b':>3} {'blocks':>6} {'factor_s':>9} {'green_s':>8} {'|LG-I|':>8}")
+    for L in sizes:
+        e = ls.load_energy_form(inputs.killed_box(L, np.random.default_rng([1, L])))
+        t0 = time.perf_counter()
+        _factor(e)
+        factor_s = time.perf_counter() - t0
+        green_s = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            G = ls.green(e).G
+            green_s.append(time.perf_counter() - t0)
+        blocks = -(-e.n // _block_rows(e))
+        print(f"{L:3} {e.n:5} {_bandwidth(e):3} {blocks:6} {factor_s:9.4f} {min(green_s):8.4f} "
+              f"{residual(e, G):8.1e}")
+
+
+if __name__ == "__main__":
+    main(sys.argv)
