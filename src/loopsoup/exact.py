@@ -110,11 +110,10 @@ def _logdet_green(e):
 @per_form
 def _bandwidth(e):
     """Half-bandwidth b, the largest i - j over C_ij != 0 (0 without
-    edges): the energy matrix and its factor R vanish more than b below
-    the diagonal."""
-    nz = e.C != 0
-    below = np.arange(e.n) - nz.argmax(axis=1)  # i - the first nonzero column of row i
-    return int(below[nz.any(axis=1)].max(initial=0))
+    edges), read from the form's nonzero pattern: the energy matrix and its
+    factor R vanish more than b below the diagonal."""
+    rows, cols = e.nonzero
+    return int((rows - cols).max(initial=0))
 
 
 def _block_rows(e):

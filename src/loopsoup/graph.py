@@ -55,10 +55,12 @@ def per_form(fn):
 class EnergyForm:
     """Immutable energy form: vertices, conductances C, killing kappa.
 
-    Derived attributes: lam (lambda vector), P (transition matrix) and
-    connected_components (both built on first use), transient flag, and an
-    index map from vertex name to position.  per_form memoises what other
-    modules derive from a form beside these.
+    Derived attributes: lam (lambda vector), transient flag, an index map
+    from vertex name to position, and, built on first use: P (transition
+    matrix), nonzero (the nonzero pattern of C, row by row) and
+    connected_components.  The symmetry check, connected_components and
+    exact._bandwidth read the nonzero pattern, not the dense C.  per_form
+    memoises what other modules derive from a form beside these.
     """
 
     def __init__(self, vertices, C, kappa, validate=True, require_connected=True):
@@ -89,9 +91,15 @@ class EnergyForm:
                 raise GraphError(
                     f"negative conductance on edge ({self.vertices[i]!r}, {self.vertices[j]!r})"
                 )
-            asym = np.abs(self.C - self.C.T)
-            if np.any(asym > 1e-12 * max(1.0, self.C.max())):
-                i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
+            # an asymmetric pair has a nonzero side, so the nonzeros hold every one
+            rows, cols = self.nonzero
+            weights = self.C[rows, cols]
+            asym = np.abs(weights - self.C[cols, rows])
+            worst = asym.max(initial=0.0)
+            if worst > 1e-12 * max(1.0, weights.max(initial=0.0)):
+                # the first worst entry of |C - C^T| in row-major order: the upper side of a worst pair
+                worst_at = asym == worst
+                i, j = min(zip(np.minimum(rows, cols)[worst_at], np.maximum(rows, cols)[worst_at]))
                 raise GraphError(
                     f"asymmetric conductance on edge ({self.vertices[i]!r}, {self.vertices[j]!r})"
                 )
@@ -122,9 +130,22 @@ class EnergyForm:
         return P
 
     @functools.cached_property
+    def nonzero(self):
+        """Read-only (rows, cols) of the nonzero conductances, row by row and
+        in column order within a row, taken once per form."""
+        rows, cols = np.divmod(np.flatnonzero(self.C != 0), self.n)
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        return rows, cols
+
+    @functools.cached_property
     def connected_components(self):
-        """(number, labels) of the conductance graph's connected components."""
-        return csgraph.connected_components(csr_array(self.C), directed=False)
+        """(number, labels) of the conductance graph's connected components,
+        from a CSR matrix of the nonzeros: the one csr_array(C) would build."""
+        rows, cols = self.nonzero
+        indptr = np.searchsorted(rows, np.arange(self.n + 1))
+        graph = csr_array((self.C[rows, cols], cols, indptr), shape=(self.n, self.n))
+        return csgraph.connected_components(graph, directed=False)
 
     @property
     def n(self):

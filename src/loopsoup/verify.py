@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
+from scipy import special
 
 from .exact import _logdet_posdef, _omega_matrix, green, partition_ratio, transfer_matrix
 from .graph import EnergyForm, GraphError, _root_index, restrict, trace_on
@@ -161,6 +161,17 @@ def _suite(name, n_samples, rng):
     """Start time, generator and empty report of a sampled suite."""
     seed = getattr(rng, "seed", rng if isinstance(rng, int) else None)
     return time.perf_counter(), as_generator(rng), VerificationReport(name, n_samples=n_samples, seed=seed)
+
+
+def _chisquare_p(observed, expected):
+    """p-value of Pearson's chi-square test of observed counts against
+    expected counts of the same total, on len - 1 degrees of freedom: what
+    scipy.stats.chisquare returns, bit for bit, without importing
+    scipy.stats.  Its check that the totals agree is left out: every caller
+    takes expected = probs * n with probs summing to 1."""
+    observed = np.asarray(observed, dtype=float)
+    stat = ((observed - expected) ** 2 / expected).sum()
+    return special.chdtrc(len(observed) - 1, stat)
 
 
 def _mean_se(values):
@@ -468,7 +479,7 @@ def verify_transfer_current(e, n_samples=0, rng=0, root=None):
             if len(oracle) == 1:
                 report.add_bool("every tree is the only tree", counts[0] == n_samples)
             else:
-                chi2, p = sstats.chisquare(counts.astype(float), probs * n_samples)
+                p = _chisquare_p(counts, probs * n_samples)
                 report.add_pvalue(f"tree law chi-square ({len(oracle)} trees)", p)
         for name, sub, det_prob in named_sets:
             freq = inc[:, sub].all(axis=1).sum() / n_samples
@@ -749,11 +760,14 @@ def verify_occupation_marginals(e, n_samples=0, rng=0):
                 exact, 1e-9,
             )
     if n_samples > 0:
+        # the exact KS p-value lives only in scipy.stats: its one import, here
+        from scipy.stats import kstest
+
         p_geo, edge = 1.0 / (e.lam[i] * G[i, i]), e.C[i].any()
         for alpha in (0.5, 1.0, 2.0):
             batch = _soup_occupations(e, alpha, gen, n_samples)
             occ, visits = batch.occupation, batch.visits
-            ks = sstats.kstest(occ[:, i], "gamma", args=(alpha, 0.0, G[i, i]))
+            ks = kstest(occ[:, i], "gamma", args=(alpha, 0.0, G[i, i]))
             report.add_pvalue(f"KS L-hat^{x} vs Gamma({alpha}, G^xx)", ks.pvalue)
             if alpha == 1.0 and (not edge or p_geo >= 1):  # a geometric law of one cell
                 why = "P(N_x = 0) rounds to 1" if edge else "no edge at x"
@@ -769,8 +783,7 @@ def verify_occupation_marginals(e, n_samples=0, rng=0):
                     probs[-2] += probs[-1]
                     observed[-2] += observed[-1]
                     probs, observed = probs[:-1], observed[:-1]
-                chi2, p = sstats.chisquare(observed, probs * n_samples)
-                report.add_pvalue("chi-square N_x + 1 vs geometric", p)
+                report.add_pvalue("chi-square N_x + 1 vs geometric", _chisquare_p(observed, probs * n_samples))
             if e.n >= 2:
                 cx = occ[:, i] - alpha * G[i, i]
                 cy = occ[:, j] - alpha * G[j, j]

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -309,3 +313,29 @@ def test_output_file(fixture_dir, tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(dest.read_text())["G"]
+
+
+_START_UP = """
+import contextlib, io, json, sys
+import loopsoup, loopsoup.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    loopsoup.cli.main(["green", sys.argv[1]])
+after_green = "scipy.stats" in sys.modules
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = loopsoup.cli.main(["verify", "occupation", "--graph", sys.argv[1], "-n", "50", "--json"])
+print(json.dumps({"after_green": after_green, "code": code, "report": json.loads(out.getvalue())}))
+"""
+
+
+def test_start_up_leaves_scipy_stats_out(fixture_dir):
+    # a fresh interpreter: this one has loaded scipy.stats already
+    src = str(pathlib.Path(ls.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _START_UP, str(fixture_dir / "p2.json")],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    doc = json.loads(done.stdout)
+    assert doc["after_green"] is False
+    ks = [c for c in doc["report"]["checks"] if c["name"].startswith("KS ")]
+    assert doc["code"] in (0, 1) and len(ks) == 3
+    assert all(0 <= c["p_value"] <= 1 for c in ks)

@@ -7,7 +7,7 @@ import loopsoup as ls
 from loopsoup.graph import GraphError, _root_index, per_form
 from loopsoup.verify import enumerate_spanning_trees
 
-from conftest import random_energy_form
+from conftest import killed_box, random_energy_form
 
 
 def test_load_from_dict(p2):
@@ -290,3 +290,93 @@ def test_duplicate_edge_rejected_after_zero_weight_copy():
     doc = {"vertices": ["x", "y"], "edges": [["x", "y", 0], ["y", "x", 1]], "killing": {"x": 1}}
     with pytest.raises(GraphError, match="duplicate edge"):
         ls.load_energy_form(doc)
+
+
+def _path_C(n=3):
+    C = np.zeros((n, n))
+    for i in range(n - 1):
+        C[i, i + 1] = C[i + 1, i] = 1.0
+    return C
+
+
+@pytest.mark.parametrize("i, j", [(0, 2), (2, 0)])
+def test_asymmetric_pair_with_a_zero_side_rejected(i, j):
+    # the pair has one nonzero side; the message names its upper side, as
+    # the first worst entry of |C - C^T| in row-major order
+    C = _path_C()
+    C[i, j] = 0.5
+    with pytest.raises(GraphError, match=r"asymmetric conductance on edge \('v0', 'v2'\)"):
+        ls.EnergyForm(["v0", "v1", "v2"], C, np.ones(3))
+
+
+def test_asymmetric_message_names_the_worst_pair():
+    C = _path_C(4)
+    C[0, 1] += 1e-3
+    C[3, 2] += 1e-2
+    with pytest.raises(GraphError, match=r"edge \('v2', 'v3'\)"):
+        ls.EnergyForm([f"v{k}" for k in range(4)], C, np.ones(4))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_asymmetry_within_tolerance_accepted(scale):
+    # the tolerance is 1e-12 max(1, max C), relative to the largest conductance
+    C = _path_C() * scale
+    C[0, 1] += 0.5e-12 * scale
+    e = ls.EnergyForm(["v0", "v1", "v2"], C, np.ones(3))
+    assert e.C[0, 1] != e.C[1, 0]
+    C[0, 1] += 2e-12 * scale
+    with pytest.raises(GraphError, match=r"asymmetric conductance on edge \('v0', 'v1'\)"):
+        ls.EnergyForm(["v0", "v1", "v2"], C, np.ones(3))
+
+
+def test_validation_order():
+    # every fault at once; mending them one by one shows the order of the checks
+    C = _path_C(4)
+    kappa = np.ones(4)
+    kappa[1], C[0, 1], kappa[2], C[2, 1], C[3, 2], C[3, 3] = np.inf, np.nan, -1.0, -1.0, 5.0, 1.0
+    faults = [
+        ("non-finite killing at vertex 'v1'", lambda: kappa.__setitem__(1, 1.0)),
+        (r"non-finite conductance on edge \('v0', 'v1'\)", lambda: C.__setitem__((0, 1), 1.0)),
+        ("negative killing at vertex 'v2'", lambda: kappa.__setitem__(2, 1.0)),
+        (r"negative conductance on edge \('v2', 'v1'\)", lambda: C.__setitem__((2, 1), 1.0)),
+        (r"asymmetric conductance on edge \('v2', 'v3'\)", lambda: C.__setitem__((3, 2), 1.0)),
+        ("self-loop conductance at vertex 'v3'", lambda: C.__setitem__((3, 3), 0.0)),
+    ]
+    for match, mend in faults:
+        with pytest.raises(GraphError, match=match):
+            ls.EnergyForm([f"v{k}" for k in range(4)], C, kappa)
+        mend()
+    assert ls.EnergyForm([f"v{k}" for k in range(4)], C, kappa).n == 4
+
+
+def _component_forms():
+    forms = [ls.load_energy_form(ls.fixture(name)) for name in ls.FIXTURES]
+    boxes = [killed_box(L, L) for L in (1, 2, 5, 8)]
+    forms += boxes
+    box = boxes[-2]  # 5 x 5
+    forms.append(ls.restrict(box, [v for v in box.vertices if int(v) % 5 in (0, 2, 4)]))  # three columns
+    forms.append(ls.restrict(box, [v for v in box.vertices if sum(divmod(int(v), 5)) % 2 == 0]))  # no edges
+    cube = forms[list(ls.FIXTURES).index("cube")]
+    forms.append(ls.restrict(cube, cube.vertices[::3]))
+    # a Fortran-ordered C is read row by row too
+    forms.append(ls.EnergyForm(box.vertices, np.asfortranarray(box.C), box.kappa))
+    return forms
+
+
+def test_connected_components_match_scipy_on_dense_C():
+    from scipy.sparse import csgraph, csr_array
+
+    split = 0
+    for e in _component_forms():
+        n_comp, labels = e.connected_components
+        want_n, want_labels = csgraph.connected_components(csr_array(e.C), directed=False)
+        assert n_comp == want_n and np.array_equal(labels, want_labels)
+        split += n_comp > 1
+    assert split >= 3
+
+
+def test_nonzero_pattern_is_read_once_row_by_row(k4c1):
+    rows, cols = k4c1.nonzero
+    assert k4c1.nonzero[0] is rows
+    assert np.array_equal(np.stack([rows, cols]), np.stack(np.nonzero(k4c1.C)))
+    assert not rows.flags.writeable and not cols.flags.writeable

@@ -7,6 +7,7 @@ import loopsoup as ls
 from loopsoup.exact import _omega_matrix
 from loopsoup.graph import EnergyForm, GraphError
 from loopsoup.samplers import _soup_occupations
+from loopsoup.verify import enumerate_spanning_trees
 
 
 def _assert_all_pass(report):
@@ -168,3 +169,32 @@ def test_reports_reproducible(p2):
     a = ls.verify_dynkin(p2, k=1, n_samples=2000, rng=ls.RngStream(20)).to_json()
     b = ls.verify_dynkin(p2, k=1, n_samples=2000, rng=ls.RngStream(20)).to_json()
     assert json.loads(a)["checks"] == json.loads(b)["checks"]
+
+
+def _chisquare_cases():
+    """(observed, expected) in the shapes of the two chi-squares: tree counts
+    against a spanning-tree law, and geometric counts with a merged tail."""
+    rng = np.random.default_rng(0)
+    for name in ("p2", "k3_wreath", "mirror_p2", "k4c1"):
+        _, probs = enumerate_spanning_trees(ls.load_energy_form(ls.fixture(name)))
+        for n in (30, 10_000):
+            yield rng.multinomial(n, probs / probs.sum()), probs * n
+    for p_geo in (0.05, 0.5, 0.97):
+        for n in (50, 10_000):
+            kmax = 40
+            probs = np.append(p_geo * (1 - p_geo) ** np.arange(kmax - 1), (1 - p_geo) ** (kmax - 1))
+            while len(probs) > 2 and probs[-1] * n < 5:
+                probs = np.append(probs[:-2], probs[-2] + probs[-1])
+            yield rng.multinomial(n, probs / probs.sum()), probs * n
+
+
+def test_chisquare_p_is_scipys_bit_for_bit():
+    from scipy import stats
+
+    from loopsoup.verify import _chisquare_p
+
+    for observed, expected in _chisquare_cases():
+        want = stats.chisquare(observed, expected).pvalue
+        for obs in (observed, observed.astype(float)):
+            got = _chisquare_p(obs, expected)
+            assert type(got) is type(want) and got.tobytes() == want.tobytes()
