@@ -16,7 +16,7 @@ from .exact import green, green_chi
 from .graph import EnergyForm, GraphError, load_energy_form
 from .loops import enumerate_loops, mu_hit_avoid, mu_nontrivial_total
 from .rng import RngStream
-from .samplers import _soup_occupations, sample_gff, wilson_sample
+from .samplers import SpanningTree, _soup_occupations, _trees, sample_gff
 from .verify import (
     default_involution,
     verify_dynkin,
@@ -101,12 +101,10 @@ def cmd_sample(args):
 
 def cmd_wilson(args):
     e = load_energy_form(args.graph)
-    rng = RngStream(args.seed)
     root = args.root if args.root else (None if e.transient else e.vertices[0])
-    trees = []
-    for _ in range(args.samples):
-        tree, ens = wilson_sample(e, rng, root=root)
-        trees.append({"parent": tree.parent, "erased_loops": len(ens.loops)})
+    rows, erased = _trees(e, RngStream(args.seed).generator, root, args.samples)
+    trees = [{"parent": SpanningTree(e.vertices, row, root).parent, "erased_loops": k}
+             for row, k in zip(rows, erased.tolist())]
     _emit(args, {"seed": args.seed, "trees": trees})
     return 0
 

@@ -28,6 +28,18 @@ times are drawn per walk, after it stops.  Wilson's algorithm and
 loop_erase share one loop erasure, _erase.  A spanning tree is an int
 parent array, n the cemetery.
 
+Each chain has one core, shared by the one-sample API and the batches of
+the verify suites and the CLI: PointedLoopSampler._steps draws a loop's
+vertices (sample adds its holding times), _bridges draws n bridges
+(sample_bridge is n = 1), and _branches runs Wilson's algorithm for one
+tree (wilson_sample builds its erased loops; _trees keeps the parent
+arrays of n trees).  A batch writes its chains into flat array("q") and
+array("d") buffers (trees into the rows of one int array), never one
+object per sample, and makes each draw the one-sample API makes, in the
+same order, so it draws the same streams.  The holding times of loops and
+bridges are one division of the buffers, exps / lambda[vertex], the IEEE
+division that each position drawn alone makes.
+
 The free field needs no Green matrix: with M_lambda - C = R R^T (Cholesky),
 phi = R^{-T} z for z standard normal has covariance
 R^{-T} R^{-1} = (M_lambda - C)^{-1} = G.  R is taken once per form
@@ -36,9 +48,10 @@ is the one solve, for sample_gff and the Dynkin suite.
 
 _soups is the one soup draw; sample_loop_soup is a batch of one.  Soup
 statistics are sums over loop positions: the occupation field, the visit
-counts N_x and the oriented traversal counts N_{x,y} of an ensemble (and
-the per-soup statistics of a batch, _soup_occupations) are each one
-np.add.at or np.bincount over the flat arrays of _positions.
+counts N_x and the oriented traversal counts N_{x,y} of an ensemble (the
+flat arrays of _positions) and the per-soup statistics of a batch
+(_soup_occupations) are each one np.add.at or np.bincount over the
+positions; _successors finds each position's successor around its loop.
 """
 
 import weakref
@@ -113,14 +126,23 @@ def _positions(loops):
     over them adds each cell's terms in sampling order.  One pass over raw
     buffers: a generator of loops is never held in memory as loop
     objects."""
-    vertex, successor, tau, lengths = array("q"), array("q"), array("d"), array("q")
+    vertex, tau, lengths = array("q"), array("d"), array("q")
     for loop in loops:
-        idx = loop.vertices
-        vertex.extend(idx)
-        successor.extend(idx[1:] + idx[:1])
+        vertex.extend(loop.vertices)
         tau.extend(loop.taus)
-        lengths.append(len(idx))
-    return tuple(np.array(a) for a in (vertex, successor, tau, lengths))
+        lengths.append(len(loop.vertices))
+    vertex, lengths = np.array(vertex), np.array(lengths)
+    return vertex, _successors(vertex, lengths), np.array(tau), lengths
+
+
+def _successors(vertex, lengths):
+    """The next vertex around each loop of the ragged array vertex, whose
+    loops have the given lengths: the next position's, the loop's first
+    at its last."""
+    ends = np.cumsum(lengths)
+    nxt = np.arange(1, len(vertex) + 1)
+    nxt[ends - 1] = ends - lengths
+    return vertex[nxt]
 
 
 @dataclass
@@ -327,6 +349,14 @@ class PointedLoopSampler:
 
     def sample(self, rng):
         gen = as_generator(rng)
+        seq, lam = self._steps(gen), self.lam
+        taus = [t / lam[v] for v, t in zip(seq, gen.standard_exponential(len(seq)).tolist())]
+        return PointedLoop(tuple(seq), tuple(taus))
+
+    def _steps(self, gen):
+        """The vertices of one loop, its base point first: a length, then
+        one gen.random(k) for the base and the k - 1 steps.  sample draws
+        the holding times after them."""
         k = self._lengths[bisect_right(self._length_cdf, gen.random())]
         uniform = gen.random(k).tolist()  # the base, then the k - 1 steps
         base = bisect_right(self._base_cdf[k], uniform[0])
@@ -348,9 +378,7 @@ class PointedLoopSampler:
                     rows[key] = cdf
             u = columns[u][bisect_right(cdf, uniform[i])]
             seq.append(u)
-        lam = self.lam
-        taus = [t / lam[v] for v, t in zip(seq, gen.standard_exponential(k).tolist())]
-        return PointedLoop(tuple(seq), tuple(taus))
+        return seq
 
 
 def _tail_mass(w, k_cap):
@@ -381,16 +409,18 @@ def sample_pointed_loop(e, rng):
 def _soups(e, alpha, gen, n_samples):
     """The one draw of n_samples independent soups L_alpha: the
     Poisson(alpha mu(p>1)) loop counts, then the Gamma(alpha, rate
-    lambda_x) trivial occupations (n_samples x n), then a generator of the
-    loops of soup 0, soup 1, ...  The memoised sampler is taken only when a
-    loop can be drawn (alpha > 0 and the form has an edge).  Returns
-    ((k_cap, dropped_mass), counts, trivial, loops)."""
+    lambda_x) trivial occupations (n_samples x n), then the counts.sum()
+    loops of soup 0, soup 1, ..., which the caller draws in that order from
+    the returned sampler.  The memoised sampler is taken only when a loop
+    can be drawn (alpha > 0 and the form has an edge); else it is None and
+    every count is 0.  Returns ((k_cap, dropped_mass), counts, trivial,
+    sampler)."""
     _check_alpha(alpha)
     sampler = _loop_sampler(e) if alpha > 0 and e.C.any() else None
     cap = (sampler.k_cap, sampler.dropped_mass) if sampler else (None, 0.0)
     counts = gen.poisson(alpha * sampler.total if sampler else 0.0, n_samples)
     trivial = gen.gamma(alpha, 1.0 / e.lam, size=(n_samples, e.n))
-    return cap, counts, trivial, (sampler.sample(gen) for _ in range(counts.sum()))
+    return cap, counts, trivial, sampler
 
 
 class SoupBatch(NamedTuple):
@@ -407,24 +437,36 @@ class SoupBatch(NamedTuple):
 
 
 def _soup_occupations(e, alpha, gen, n_samples):
-    """SoupBatch of n_samples soups drawn by _soups."""
-    cap, counts, occ, loops = _soups(e, alpha, gen, n_samples)
+    """SoupBatch of n_samples soups drawn by _soups.  Each loop takes the
+    draws of PointedLoopSampler.sample, its _steps and one
+    standard_exponential, into flat buffers: no loop object is built, and
+    the holding times are one division of the buffers, the one a loop
+    drawn alone makes."""
+    cap, counts, occ, sampler = _soups(e, alpha, gen, n_samples)
     # the count array first: allocated before the draws, it leaves the lowest
     # peak RSS when suites run repeatedly in one process
     visits = np.zeros((n_samples, e.n), dtype=np.int64)
-    vertex, successor, tau, lengths = _positions(loops)
+    vertex, exps, lengths = array("q"), array("d"), array("q")
+    for _ in range(counts.sum()):
+        seq = sampler._steps(gen)
+        vertex.extend(seq)
+        exps.frombytes(gen.standard_exponential(len(seq)).tobytes())
+        lengths.append(len(seq))
+    vertex, lengths = np.array(vertex), np.array(lengths)
+    tau = np.frombuffer(exps) / e.lam[vertex]
     sample = np.repeat(np.repeat(np.arange(n_samples), counts), lengths)
     np.add.at(occ, (sample, vertex), tau)
     np.add.at(visits, (sample, vertex), 1)
-    return SoupBatch(counts, occ, visits, (sample, vertex, successor), *cap)
+    return SoupBatch(counts, occ, visits, (sample, vertex, _successors(vertex, lengths)), *cap)
 
 
 def sample_loop_soup(e, alpha, rng):
     """Poisson ensemble L_alpha: Poisson(alpha mu(p>1)) nontrivial loops
     plus Gamma(alpha, rate lambda_x) aggregated trivial occupation, the
     first soup of _soups."""
-    cap, _, trivial, loops = _soups(e, alpha, as_generator(rng), 1)
-    return LoopEnsemble(e.vertices, alpha, list(loops), trivial[0], *cap)
+    gen = as_generator(rng)
+    cap, counts, trivial, sampler = _soups(e, alpha, gen, 1)
+    return LoopEnsemble(e.vertices, alpha, [sampler.sample(gen) for _ in range(counts[0])], trivial[0], *cap)
 
 
 @dataclass
@@ -436,30 +478,41 @@ class BridgePath:
     taus: tuple
 
 
-def sample_bridge(e, x, y, rng):
-    """Bridge from x to y: at u, stop with probability delta_{u,y}/V^u_y,
-    else move to z with probability P^u_z V^z_y / V^u_y (the _step_table of
-    target y), so the stop test is drawn at each arrival at y, between
-    excursions.  Holding times exp(1)/lambda at every position, the last too.
-    GraphError once the bridge holds MAX_STEPS positions."""
+def _bridges(e, i, j, gen, n_bridges):
+    """n_bridges bridges from the index i to the index j (the vertex y), as
+    flat arrays: each position's vertex and holding time, bridge by bridge,
+    and each bridge's length.  At u a bridge stops with probability
+    delta_{u,y}/V^u_y, else moves to z with probability P^u_z V^z_y / V^u_y
+    (the _step_table of target j), so the stop test is drawn at each
+    arrival at y, between excursions.  Its holding times, exp(1)/lambda at
+    every position, the last too, are one standard_exponential draw after
+    it stops.  GraphError once a bridge holds MAX_STEPS positions."""
     if not e.transient:
         raise GraphError("bridge sampling requires a transient chain")
-    gen = as_generator(rng)
-    i, j = e.index[x], e.index[y]
     table = _step_table(e, j)
     _, _, V, stop = table
     if V[i] <= 0:
-        raise GraphError(f"{y!r} unreachable from {x!r}")
-    seq, u = [], i
-    while not (u == j and gen.random() < 1.0 / V[j]):
-        path, u = _walk(gen, table, u, stop)
-        seq += path
-        if len(seq) >= MAX_STEPS:
-            raise GraphError("bridge failed to end")
-    seq.append(j)
-    lam = e.lam.tolist()
-    taus = [t / lam[v] for v, t in zip(seq, gen.standard_exponential(len(seq)).tolist())]
-    return BridgePath(tuple(seq), tuple(taus))
+        raise GraphError(f"{e.vertices[j]!r} unreachable from {e.vertices[i]!r}")
+    stays, random = float(1.0 / V[j]), gen.random
+    vertex, exps, lengths = array("q"), array("d"), array("q")
+    for _ in range(n_bridges):
+        start, u = len(vertex), i
+        while not (u == j and random() < stays):
+            path, u = _walk(gen, table, u, stop)
+            vertex.extend(path)
+            if len(vertex) - start >= MAX_STEPS:
+                raise GraphError("bridge failed to end")
+        vertex.append(j)
+        exps.frombytes(gen.standard_exponential(len(vertex) - start).tobytes())
+        lengths.append(len(vertex) - start)
+    vertex = np.array(vertex)
+    return vertex, np.frombuffer(exps) / e.lam[vertex], np.array(lengths)
+
+
+def sample_bridge(e, x, y, rng):
+    """Bridge from x to y, the one bridge of _bridges."""
+    vertex, tau, _ = _bridges(e, e.index[x], e.index[y], as_generator(rng), 1)
+    return BridgePath(tuple(vertex.tolist()), tuple(tau.tolist()))
 
 
 def sample_gff(e, rng, complex_field=False):
@@ -511,35 +564,61 @@ def loop_erase(path):
     return [path[t] for t in _erase(path)[0]]
 
 
+def _branches(gen, table, end, parent):
+    """Wilson's algorithm for one tree, in the list parent of n entries:
+    each branch is a _walk from the least vertex not yet in the tree until
+    it enters the tree (the index end at first) or the cemetery, then one
+    standard_exponential draw for its visits, then its _erase.  Each kept
+    visit sets parent[v] to the next kept index, n at the cemetery; the
+    entry at end is left as it is.  Yields each branch as (path,
+    exponentials, kept positions, erased loops) once parent holds it."""
+    n = len(parent)
+    in_tree = [v == end for v in range(n)]
+    for start in range(n):
+        if in_tree[start]:
+            continue
+        path, nxt = _walk(gen, table, start, in_tree)
+        exps = gen.standard_exponential(len(path))
+        kept, loops = _erase(path)
+        branch = [path[t] for t in kept] + [nxt]  # ends in the tree or at the cemetery n
+        for v, w in zip(branch, branch[1:]):
+            parent[v] = w
+            in_tree[v] = True
+        yield path, exps, kept, loops
+
+
+def _trees(e, gen, root, n_trees):
+    """n_trees spanning trees by Wilson's algorithm (_branches): their
+    parent arrays as the rows of an int array, and the number of loops each
+    erased."""
+    n, end, table = e.n, _root_index(e, root), _step_table(e)
+    # filled in place: 10^4 row arrays in a list add 1.7 MB of peak RSS
+    rows, erased = np.empty((n_trees, n), dtype=np.int64), np.zeros(n_trees, dtype=np.int64)
+    for s in range(n_trees):
+        parent = [n] * n
+        erased[s] = sum(len(loops) for _, _, _, loops in _branches(gen, table, end, parent))
+        rows[s] = parent
+    return rows, erased
+
+
 def wilson_sample(e, rng, root=None):
     """Wilson's algorithm: iterated loop-erased walks building a spanning
     tree, together with the ensemble of erased loops.
 
     Transient chains are rooted at the cemetery (root=None in the tree);
-    recurrent chains need an explicit root vertex.  Each branch is a _walk
-    from the least vertex not yet in the tree until it enters the tree or
-    the cemetery; its visits get exp(1)/lambda holding times, drawn in one
-    call after the walk stops.  Each kept visit sets parent[v] to the next
-    kept index, n at the cemetery.  Erased visits accumulate into the erased
-    loops, the surviving visit of each tree vertex becomes its trivial
-    occupation.
+    recurrent chains need an explicit root vertex.  The branches are those
+    of _branches, whose visits get exp(1)/lambda holding times.  Erased
+    visits accumulate into the erased loops, the surviving visit of each
+    tree vertex becomes its trivial occupation.
     """
     gen = as_generator(rng)
     n, end = e.n, _root_index(e, root)
-    table, lam = _step_table(e), e.lam.tolist()
-    in_tree = [v == end for v in range(n)]
+    lam = e.lam.tolist()
     parent, erased, trivial = [n] * n, [], np.zeros(n)
-    for start in range(n):
-        if in_tree[start]:
-            continue
-        path, nxt = _walk(gen, table, start, in_tree)
-        taus = [t / lam[v] for v, t in zip(path, gen.standard_exponential(len(path)).tolist())]
-        kept, loops = _erase(path)
+    for path, exps, kept, loops in _branches(gen, _step_table(e), end, parent):
+        taus = [t / lam[v] for v, t in zip(path, exps.tolist())]
         for loop in loops:
             erased.append(PointedLoop(tuple([path[t] for t in loop]), tuple([taus[t] for t in loop])))
-        branch = [path[t] for t in kept] + [nxt]  # ends in the tree or at the cemetery n
-        for v, w, t in zip(branch, branch[1:], kept):
-            parent[v] = w
-            in_tree[v] = True
-            trivial[v] = taus[t]
+        for t in kept:
+            trivial[path[t]] = taus[t]
     return SpanningTree(e.vertices, np.array(parent), root), LoopEnsemble(e.vertices, 1.0, erased, trivial)

@@ -30,15 +30,7 @@ from .loops import (
     spectral_radius,
 )
 from .rng import as_generator
-from .samplers import (
-    _field,
-    _soup_occupations,
-    _step_table,
-    _walk,
-    loop_erase,
-    sample_bridge,
-    wilson_sample,
-)
+from .samplers import _bridges, _field, _soup_occupations, _step_table, _trees, _walk, loop_erase
 from .zeta import _u_max, line_graph_operator, non_backtracking_counts, zeta_ihara
 
 __all__ = [
@@ -411,15 +403,12 @@ def verify_dynkin(e, k=1, n_samples=0, rng=0):
             mean, se = _mean_se(np.prod(w[:, m], axis=1))
             report.add_stat(f"field moment ({name})", per, mean, se)
         if k == 1 and e.n >= 2:
-            x, y = e.vertices[0], e.vertices[1]
             chi = 0.4 + 0.1 * np.arange(e.n)
             lhs_vals = phi[0, :, 0] * phi[1, :, 0] * np.exp(-w @ chi)
             occ_half = _soup_occupations(e, 0.5, gen, n_samples).occupation
-            bridge_f = np.empty(n_samples)
-            for s in range(n_samples):
-                b = sample_bridge(e, x, y, gen)
-                # builtin sum adds term by term, in path order
-                bridge_f[s] = np.exp(-sum(chi[list(b.vertices)] * b.taus))
+            vertex, tau, lengths = _bridges(e, 0, 1, gen, n_samples)
+            # bincount adds each bridge's terms in path order, from 0
+            bridge_f = np.exp(-np.bincount(np.repeat(np.arange(n_samples), lengths), chi[vertex] * tau, n_samples))
             rhs_vals = G[0, 1] * np.exp(-occ_half @ chi) * bridge_f
             m1, s1 = _mean_se(lhs_vals)
             m2, s2 = _mean_se(rhs_vals)
@@ -470,9 +459,7 @@ def verify_transfer_current(e, n_samples=0, rng=0, root=None):
     d = np.sqrt(c * (1 - np.exp(-g)))
     laplace_exact = float(np.linalg.det(np.eye(len(all_edges)) - d[:, None] * tm.K * d[None, :]))
     if n_samples > 0:
-        rows = np.empty((n_samples, e.n), dtype=int)  # filled in place: 10^4 row arrays in a list add 1.7 MB of peak RSS
-        for s in range(n_samples):
-            rows[s] = wilson_sample(e, gen, root=root)[0].parent_index
+        rows, _ = _trees(e, gen, root, n_samples)
         inc = _inclusions(rows, iu, ju)
         if oracle is not None:
             counts = np.array([(rows == parent).all(axis=1).sum() for parent in oracle])
@@ -503,9 +490,9 @@ def verify_loop_erasure(e, x, y, n_samples=0, rng=0):
     i = e.index[x]
     p_direct = e.kappa[i] * green(e).G[i, i]
     if n_samples > 0:
-        counts = Counter(
-            tuple(loop_erase(sample_bridge(e, x, y, gen).vertices)) for _ in range(n_samples)
-        )
+        vertex, _, lengths = _bridges(e, i, e.index[y], gen, n_samples)
+        vertex, ends = vertex.tolist(), np.cumsum(lengths).tolist()
+        counts = Counter(tuple(loop_erase(vertex[a:b])) for a, b in zip([0, *ends], ends))
         tv = 0.5 * sum(
             abs(counts[path] / n_samples - mass / total)
             for path in sorted(set(law) | set(counts))

@@ -76,6 +76,17 @@ def test_wilson(fixture_dir, capsys):
     assert set(doc["trees"][0]["parent"]) == {"b", "c", "d"}
 
 
+@pytest.mark.parametrize("graph,root", [("k4c1", None), ("k4_rooted", "a"), ("k4_rooted", None)])
+def test_wilson_prints_the_trees_of_wilson_sample(fixture_dir, capsys, graph, root):
+    # a recurrent form with no --root is rooted at its first vertex
+    code, out, _ = run(capsys, "wilson", str(fixture_dir / f"{graph}.json"), "-n", "20", "--seed", "4", "--json",
+                       *(["--root", root] if root else []))
+    e, rng = ls.load_energy_form(str(fixture_dir / f"{graph}.json")), ls.RngStream(4)
+    draws = [ls.wilson_sample(e, rng, root=root or (None if e.transient else e.vertices[0])) for _ in range(20)]
+    assert code == 0
+    assert json.loads(out)["trees"] == [{"parent": tree.parent, "erased_loops": len(ens.loops)} for tree, ens in draws]
+
+
 def test_gff(fixture_dir, capsys):
     code, out, _ = run(capsys, "gff", str(fixture_dir / "p2.json"), "--seed", "2")
     assert code == 0

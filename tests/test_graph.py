@@ -5,6 +5,7 @@ import pytest
 
 import loopsoup as ls
 from loopsoup.graph import GraphError, _root_index, per_form
+from loopsoup.samplers import _trees
 from loopsoup.verify import enumerate_spanning_trees
 
 from conftest import killed_box, random_energy_form
@@ -172,9 +173,10 @@ def test_root_index(p2, k4_rooted):
 @pytest.mark.parametrize("run", [
     lambda e, root: _root_index(e, root),
     lambda e, root: ls.wilson_sample(e, ls.RngStream(0), root=root),
+    lambda e, root: _trees(e, ls.RngStream(0).generator, root, 1),
     lambda e, root: ls.transfer_matrix(e, [("a", "b")], root=root),
     lambda e, root: enumerate_spanning_trees(e, root=root),
-], ids=["root_index", "wilson", "transfer_matrix", "spanning_trees"])
+], ids=["root_index", "wilson", "tree_rows", "transfer_matrix", "spanning_trees"])
 @pytest.mark.parametrize("form, root, match", [
     ("k4c1", "a", "root only applies to recurrent chains"),
     ("k4_rooted", None, "recurrent chain needs a root"),

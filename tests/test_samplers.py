@@ -15,11 +15,15 @@ from loopsoup import samplers
 from loopsoup.graph import GraphError
 from loopsoup.loops import PointedLoop
 from loopsoup.samplers import (
+    _bridges,
     _erase,
+    _positions,
     _row,
     _soup_occupations,
+    _soups,
     _step_table,
     _tail_mass,
+    _trees,
     _walk,
     wick_power,
 )
@@ -273,6 +277,39 @@ def test_loop_soup_is_the_first_soup_of_a_batch(name, alpha, seed):
     assert rng.generator.random() == gen.random()  # the same number of draws
 
 
+@pytest.mark.parametrize("name,alpha", [("p2", 0.5), ("k4c1", 1.0), ("counterexample", 2.0), ((5, 1), 1.0),
+                                        ("k4c1", 0.0), ("v1", 1.0)], ids=str)
+@pytest.mark.parametrize("n_samples", [0, 1, 25])
+def test_soup_batch_is_the_positions_of_sampled_loops(name, alpha, n_samples):
+    e = _form(name)
+    gen, ref = ls.RngStream(3).generator, ls.RngStream(3).generator
+    batch = _soup_occupations(e, alpha, gen, n_samples)
+    cap, counts, occ, sampler = _soups(e, alpha, ref, n_samples)
+    loops = [sampler.sample(ref) for _ in range(counts.sum())]
+    vertex, successor, tau, lengths = _positions(loops)
+    assert successor.tolist() == [v for loop in loops for v in loop.vertices[1:] + loop.vertices[:1]]
+    sample = np.repeat(np.repeat(np.arange(n_samples), counts), lengths)
+    np.add.at(occ, (sample, vertex), tau)
+    assert np.array_equal(batch.counts, counts) and (batch.k_cap, batch.dropped_mass) == cap
+    assert batch.occupation.tobytes() == occ.tobytes()
+    assert np.array_equal(batch.visits, np.bincount(sample * e.n + vertex, minlength=n_samples * e.n)
+                          .reshape(n_samples, e.n))
+    for got, want in zip(batch.positions, (sample, vertex, successor)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert gen.random() == ref.random()  # the same number of draws
+
+
+def test_soup_batch_of_soups_without_loops():
+    # p2 at alpha 0.05 draws Poisson(0.0144) loops per soup: none at seed 1
+    e = _form("p2")
+    batch = _soup_occupations(e, 0.05, ls.RngStream(1).generator, 20)
+    assert not batch.counts.any() and not batch.visits.any()
+    assert all(a.size == 0 for a in batch.positions)
+    ref = ls.RngStream(1).generator
+    ref.poisson(0.05 * samplers._loop_sampler(e).total, 20)
+    assert np.array_equal(batch.occupation, ref.gamma(0.05, 1.0 / e.lam, size=(20, 2)))
+
+
 def test_soups_on_a_form_without_edges(v1):
     # no nontrivial loop exists: the soups are their Gamma trivial occupations
     ens = ls.sample_loop_soup(v1, 1.0, ls.RngStream(0))
@@ -298,8 +335,12 @@ def test_bridge_skips_rows_of_no_weight():
     assert set(b.vertices) <= {0, 1} and b.vertices[-1] == 1
     cdf, _, V, _ = _step_table(e, 1)
     assert V[2] == V[3] == 0 and cdf[2:] == [(), ()]
-    with pytest.raises(GraphError, match="unreachable"):
+    with pytest.raises(GraphError, match=r"^'c' unreachable from 'a'$"):
         ls.sample_bridge(e, "a", "c", ls.RngStream(0))
+    with pytest.raises(GraphError, match=r"^'c' unreachable from 'a'$"):
+        _bridges(e, 0, 2, ls.RngStream(0).generator, 3)
+    with pytest.raises(GraphError, match=r"^bridge sampling requires a transient chain$"):
+        _bridges(_form("k4_rooted"), 0, 1, ls.RngStream(0).generator, 3)
 
 
 def test_bridge_fails_to_end_within_the_step_bound(monkeypatch):
@@ -310,6 +351,24 @@ def test_bridge_fails_to_end_within_the_step_bound(monkeypatch):
     monkeypatch.setattr(samplers, "MAX_STEPS", 1000)
     with pytest.raises(GraphError, match="bridge failed to end"):
         ls.sample_bridge(e, "x", "y", ls.RngStream(0))
+    with pytest.raises(GraphError, match=r"^bridge failed to end$"):
+        _bridges(e, 0, 1, ls.RngStream(0).generator, 3)
+
+
+@pytest.mark.parametrize("name,x,y", [("p2", "x", "y"), ("k4c1", "a", "b"), ("k4c1", "c", "c"),
+                                        ("counterexample", 0, 5), ((6, 4), 0, 21)], ids=str)
+def test_bridges_draw_what_sample_bridge_draws(name, x, y):
+    e = _form(name)
+    x, y = (e.vertices[v] for v in (x, y)) if isinstance(x, int) else (x, y)
+    gen, ref = ls.RngStream(5).generator, ls.RngStream(5).generator
+    vertex, tau, lengths = _bridges(e, e.index[x], e.index[y], gen, 0)
+    assert vertex.size == tau.size == lengths.size == 0 and vertex.dtype == np.int64
+    vertex, tau, lengths = _bridges(e, e.index[x], e.index[y], gen, 40)
+    bridges = [ls.sample_bridge(e, x, y, ref) for _ in range(40)]
+    assert lengths.tolist() == [len(b.vertices) for b in bridges]
+    assert vertex.tolist() == [v for b in bridges for v in b.vertices]
+    assert tau.tobytes() == np.array([t for b in bridges for t in b.taus]).tobytes()
+    assert gen.random() == ref.random()  # the same number of draws
 
 
 def test_bridge_endpoint_law(k4c1):
@@ -462,6 +521,21 @@ def test_wilson_erased_soup_network(k4c1):
     assert np.all(np.abs(occ / n - np.diag(G)) < 0.02)
 
 
+@pytest.mark.parametrize("name,root", [("k4_rooted", "a"), ("k4_rooted", "d"), ("k4c1", None), ((6, 5), None)],
+                         ids=str)
+def test_tree_rows_are_the_trees_of_wilson_sample(name, root):
+    e = _form(name)
+    gen, ref = ls.RngStream(11).generator, ls.RngStream(11).generator
+    rows, erased = _trees(e, gen, root, 0)
+    assert rows.shape == (0, e.n) and erased.size == 0
+    rows, erased = _trees(e, gen, root, 30)
+    draws = [ls.wilson_sample(e, ref, root=root) for _ in range(30)]
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, np.array([tree.parent_index for tree, _ in draws]))
+    assert erased.tolist() == [len(ens.loops) for _, ens in draws]
+    assert gen.random() == ref.random()  # the same number of draws
+
+
 def test_wilson_step_table_built_once_per_form(k4c1):
     # the walk table, and a bridge table per target
     for target in (None, 1):
@@ -495,6 +569,8 @@ def test_walk_fails_to_end_within_the_step_bound(k4_rooted, monkeypatch):
     monkeypatch.setattr(samplers, "MAX_STEPS", 0)
     with pytest.raises(GraphError, match="walk failed to end"):
         ls.wilson_sample(k4_rooted, ls.RngStream(0), root="a")
+    with pytest.raises(GraphError, match=r"^walk failed to end$"):
+        _trees(k4_rooted, ls.RngStream(0).generator, "a", 3)
 
 
 def test_wilson_requires_root_when_recurrent(k4_rooted):
