@@ -40,6 +40,8 @@ from .loops import (
     mu_visit_count,
     occupation_laplace,
     occupation_moments,
+    renormalized_power,
+    renormalized_power_moment,
     spectral_radius,
     wreath_identity_sum,
 )

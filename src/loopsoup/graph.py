@@ -55,6 +55,9 @@ def per_form(fn):
 class EnergyForm:
     """Immutable energy form: vertices, conductances C, killing kappa.
 
+    C is shared when it is a read-only float array that owns its data, as
+    another form's C is, and copied otherwise.
+
     Derived attributes: lam (lambda vector), transient flag, an index map
     from vertex name to position, and, built on first use: P (transition
     matrix), nonzero (the nonzero pattern of C, row by row) and
@@ -65,7 +68,8 @@ class EnergyForm:
 
     def __init__(self, vertices, C, kappa, validate=True, require_connected=True):
         self.vertices = tuple(str(v) for v in vertices)
-        self.C = np.array(C, dtype=float)
+        shared = type(C) is np.ndarray and C.dtype == float and C.flags.owndata and not C.flags.writeable
+        self.C = C if shared else np.array(C, dtype=float)
         self.kappa = np.array(kappa, dtype=float)
         n = len(self.vertices)
         if validate:
@@ -211,6 +215,7 @@ def load_energy_form(source):
     # for a float, RecursionError JSON nested too deeply to parse
     except (AttributeError, TypeError, ValueError, OverflowError, RecursionError) as err:
         raise GraphError(f"malformed graph document: {err}") from None
+    C.setflags(write=False)  # nothing else holds C: the form shares it
     return EnergyForm(vertices, C, kappa)
 
 

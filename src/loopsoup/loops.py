@@ -6,6 +6,11 @@ arguments that name a vertex.  The mass of a loop is the product of
 transition probabilities along one turn, divided by the multiplicity (the
 number of repetitions of its minimal period), so that summing over
 distinct loops gives sum_k Tr(P^k)/k = -log det(I-P).
+
+This module holds every closed-form soup moment that the verify suites
+test: the alpha-permanent moments of the occupation field, the
+renormalized powers Q_k and their orthogonality, visit and traversal
+counts.  The suites compare samples and independent oracles against them.
 """
 
 import itertools
@@ -26,6 +31,8 @@ __all__ = [
     "spectral_radius",
     "alpha_permanent",
     "occupation_moments",
+    "renormalized_power",
+    "renormalized_power_moment",
     "occupation_laplace",
     "edge_count_moments",
     "mu_visit_count",
@@ -232,6 +239,35 @@ def occupation_moments(e, alpha, points, kind="raw"):
         n = len(points)
         return float(np.prod([M[i, (i + 1) % n] for i in range(n)]))
     raise GraphError(f"unknown moment kind {kind!r}")
+
+
+def _renormalized_coeffs(k, alpha, sigma):
+    """Coefficients, lowest degree first, of the renormalized power
+    Q_k^{alpha,sigma}(u) of a centred occupation u; GraphError past k = 2."""
+    table = {0: [1.0], 1: [0.0, 1.0], 2: [-alpha * sigma**2 / 2.0, -sigma, 0.5]}
+    if k not in table:
+        raise GraphError(f"renormalized powers are implemented for k <= 2, not k = {k}")
+    return table[k]
+
+
+def renormalized_power(values, k, alpha, sigma):
+    """Q_k^{alpha,sigma} of centred occupations u = L-hat^x - alpha sigma,
+    sigma = G^{xx}: Q_0 = 1, Q_1 = u, Q_2 = u^2/2 - sigma u - alpha sigma^2/2.
+    The terms are summed from the highest degree down."""
+    u, coeffs = np.asarray(values, dtype=float), _renormalized_coeffs(k, alpha, sigma)
+    terms = [coeffs[d] * u**d for d in reversed(range(len(coeffs))) if coeffs[d]]
+    return sum(terms[1:], terms[0])
+
+
+def renormalized_power_moment(e, x, y, k, l, alpha):
+    """E[Q_k(L~^x) Q_l(L~^y)] = delta_{kl} (G^{xy})^{2k} alpha(alpha+1)...(alpha+k-1) / k!
+    for the centred occupation field L~ of the soup of intensity alpha, Q_k
+    taken at sigma = G^{xx} and Q_l at G^{yy}."""
+    if k != l:
+        return 0.0
+    i, j = e.indices([x, y])
+    rising = float(np.prod([alpha + t for t in range(k)]))
+    return green(e).G[i, j] ** (2 * k) * rising / math.factorial(k)
 
 
 def occupation_laplace(e, alpha, chi):

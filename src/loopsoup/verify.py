@@ -1,6 +1,9 @@
 """Verification harness: every sampler is pinned to the exact engine's
 closed forms, and every closed form is cross-checked against independent
-oracles (enumeration, Isserlis expansions, finite differences).
+oracles.  The closed forms live in loops and exact; this module holds
+only the oracles (Isserlis expansions, the permanent expansion of the
+renormalized-power products, enumerations, finite differences), the
+sampling and the reports.
 
 Each suite returns a VerificationReport.  Statistical checks gate on
 |z| < 4 (relaxed to 5 with a Bonferroni note when a suite holds more than
@@ -22,11 +25,14 @@ from .exact import _logdet_posdef, _omega_matrix, green, partition_ratio, transf
 from .graph import EnergyForm, GraphError, _root_index, restrict, trace_on
 from .loops import (
     _geometric_tail,
-    alpha_permanent,
+    _renormalized_coeffs,
     enumerate_loops,
     mu_hit_avoid,
     mu_nontrivial_total,
     occupation_laplace,
+    occupation_moments,
+    renormalized_power,
+    renormalized_power_moment,
     spectral_radius,
 )
 from .rng import as_generator
@@ -205,47 +211,18 @@ def gaussian_squared_moment(G, indices, k):
     return total / 2**n
 
 
-def _q_poly_coeffs(kk, alpha, sigma):
-    """Coefficients (low to high degree) of the renormalized power
-    polynomial Q_k^{alpha,sigma}."""
-    if kk == 0:
-        return [1.0]
-    if kk == 1:
-        return [0.0, 1.0]
-    if kk == 2:
-        return [-alpha * sigma**2 / 2.0, -sigma, 0.5]
-    if kk == 3:
-        return [
-            4 * sigma**3 * alpha / 6.0,
-            3 * sigma**2 * (2 - alpha) / 6.0,
-            -sigma,
-            1.0 / 6.0,
-        ]
-    raise GraphError("renormalized powers implemented for k <= 3")
-
-
 def exact_orth_covariance(e, x, y, k, l, alpha):
-    """E[Q_k(centered L at x) * Q_l(centered L at y)] expanded into raw
-    occupation moments through alpha-permanents."""
+    """E[Q_k(centered L at x) * Q_l(centered L at y)] expanded binomially
+    into raw occupation moments, the alpha-permanents of
+    loops.occupation_moments."""
     G = green(e).G
-    i, j = e.index[x], e.index[y]
-    sx, sy = G[i, i], G[j, j]
-    cx = _q_poly_coeffs(k, alpha, sx)
-    cy = _q_poly_coeffs(l, alpha, sy)
-
-    def raw(a, b):
-        pts = [i] * a + [j] * b
-        if not pts:
-            return 1.0
-        M = G[np.ix_(pts, pts)]
-        return alpha_permanent(M, alpha)
-
+    sx, sy = G[e.index[x], e.index[x]], G[e.index[y], e.index[y]]
     # centered powers expanded binomially: (L - alpha*sigma)^m
     total = 0.0
-    for m, cm in enumerate(cx):
+    for m, cm in enumerate(_renormalized_coeffs(k, alpha, sx)):
         if cm == 0:
             continue
-        for r, cr in enumerate(cy):
+        for r, cr in enumerate(_renormalized_coeffs(l, alpha, sy)):
             if cr == 0:
                 continue
             acc = 0.0
@@ -256,18 +233,10 @@ def exact_orth_covariance(e, x, y, k, l, alpha):
                         * math.comb(r, b)
                         * (-alpha * sx) ** (m - a)
                         * (-alpha * sy) ** (r - b)
-                        * raw(a, b)
+                        * occupation_moments(e, alpha, [x] * a + [y] * b)
                     )
             total += cm * cr * acc
     return total
-
-
-def _orth_target(gxy, k, l, alpha):
-    """E[Q_k(L^x) Q_l(L^y)] = delta_{kl} (G^{xy})^{2k} alpha(alpha+1)...(alpha+k-1) / k!."""
-    if k != l:
-        return 0.0
-    rising = float(np.prod([alpha + t for t in range(k)]))
-    return gxy ** (2 * k) * rising / math.factorial(k)
 
 
 def enumerate_spanning_trees(e, root=None):
@@ -386,7 +355,7 @@ def verify_dynkin(e, k=1, n_samples=0, rng=0):
         multisets += [
             tuple(m) for m in itertools.combinations_with_replacement(verts, order)
         ]
-    perms = [alpha_permanent(G[np.ix_(m, m)], alpha) for m in multisets]
+    perms = [occupation_moments(e, alpha, [e.vertices[i] for i in m]) for m in multisets]
     for m, per in zip(multisets, perms):
         iss = gaussian_squared_moment(G, m, k)
         name = "E[" + " ".join(f"L^{e.vertices[i]}" for i in m) + "]"
@@ -697,7 +666,7 @@ def verify_energy_variation(e, e2=None, omega=None, alpha=1.0, n_samples=0, rng=
             - logdet_gchi(-hh, hh)
             + logdet_gchi(-hh, -hh)
         ) / (4 * hh * hh)
-        exact = G[x_idx, y_idx] ** 2
+        exact = occupation_moments(e, alpha, [e.vertices[x_idx], e.vertices[y_idx]], kind="single_loop")
         report.add_exact("Schwinger mu(l^x l^y) = (G^{xy})^2", exact, mixed, 1e-5)
     return report.finalize(t0)
 
@@ -732,6 +701,9 @@ def verify_zeta(e, m_max=8):
     return report.finalize(t0)
 
 
+ORTH_PAIRS = ((1, 1), (1, 2), (2, 2))  # the (k, l) of the occupation suite's E[Q_k Q_l] checks
+
+
 def verify_occupation_marginals(e, n_samples=0, rng=0):
     """Gamma marginals, geometric visit counts and the renormalized-power
     orthogonality, exact and sampled, at alpha = 0.5, 1 and 2."""
@@ -740,10 +712,10 @@ def verify_occupation_marginals(e, n_samples=0, rng=0):
     x, y = e.vertices[0], e.vertices[min(1, e.n - 1)]
     i, j = e.index[x], e.index[y]
     for alpha in (0.5, 1.0, 2.0):
-        for k, l in [(1, 1), (1, 2), (2, 2)]:
+        for k, l in ORTH_PAIRS:
             exact = exact_orth_covariance(e, x, y, k, l, alpha)
             report.add_exact(
-                f"orthogonality Q_{k},Q_{l} (alpha={alpha})", _orth_target(G[i, j], k, l, alpha),
+                f"orthogonality Q_{k},Q_{l} (alpha={alpha})", renormalized_power_moment(e, x, y, k, l, alpha),
                 exact, 1e-9,
             )
     if n_samples > 0:
@@ -774,17 +746,11 @@ def verify_occupation_marginals(e, n_samples=0, rng=0):
             if e.n >= 2:
                 cx = occ[:, i] - alpha * G[i, i]
                 cy = occ[:, j] - alpha * G[j, j]
-                q2x = 0.5 * (cx**2 - 2 * G[i, i] * cx - alpha * G[i, i] ** 2)
-                q2y = 0.5 * (cy**2 - 2 * G[j, j] * cy - alpha * G[j, j] ** 2)
-                pairs = {
-                    (1, 1): cx * cy,
-                    (1, 2): cx * q2y,
-                    (2, 2): q2x * q2y,
-                }
-                for (k, l), vals in pairs.items():
+                for k, l in ORTH_PAIRS:
+                    vals = renormalized_power(cx, k, alpha, G[i, i]) * renormalized_power(cy, l, alpha, G[j, j])
                     mean, se = _mean_se(vals)
                     report.add_stat(
-                        f"sampled E[Q_{k} Q_{l}] (alpha={alpha})", _orth_target(G[i, j], k, l, alpha),
+                        f"sampled E[Q_{k} Q_{l}] (alpha={alpha})", renormalized_power_moment(e, x, y, k, l, alpha),
                         mean, se,
                     )
     return report.finalize(t0)

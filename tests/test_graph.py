@@ -217,6 +217,34 @@ def test_arrays_are_read_only(p2):
         p2.C[0, 1] = 5.0
 
 
+def test_read_only_conductances_are_shared(monkeypatch, k4c1):
+    from loopsoup import graph
+    from loopsoup.exact import _chi_form
+
+    built = []
+
+    def recording_form(vertices, C, kappa):
+        built.append(C)
+        return ls.EnergyForm(vertices, C, kappa)
+
+    monkeypatch.setattr(graph, "EnergyForm", recording_form)
+    e = ls.load_energy_form(ls.fixture("k4c1"))
+    assert np.shares_memory(e.C, built[0])
+    # forms derived from a parent's C: the chi form, the kappa +- h forms of energy_variation
+    assert np.shares_memory(_chi_form(k4c1, np.full(4, 0.5)).C, k4c1.C)
+    assert np.shares_memory(ls.EnergyForm(k4c1.vertices, k4c1.C, k4c1.kappa + 1e-5).C, k4c1.C)
+
+
+def test_writable_or_borrowed_conductances_are_copied(k4c1):
+    C = np.array(k4c1.C)
+    e = ls.EnergyForm(k4c1.vertices, C, k4c1.kappa)
+    C[0, 1] = C[1, 0] = 5.0
+    assert e.C[0, 1] == k4c1.C[0, 1]
+    view = C.view()  # read-only, but its base stays writable
+    view.setflags(write=False)
+    assert not np.shares_memory(ls.EnergyForm(k4c1.vertices, view, k4c1.kappa).C, C)
+
+
 def test_restrict_adds_boundary_killing(k4c1):
     d = ls.restrict(k4c1, ["a", "b"])
     # each kept vertex loses edges to c and d; that mass moves to killing

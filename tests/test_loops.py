@@ -180,6 +180,74 @@ def test_visit_count_p2(p2):
     assert ls.mu_visit_count(p2, "x") == pytest.approx(2 * (2 / 3) - 1, abs=1e-12)
 
 
+def enumeration_tail(e, k_max, k, scale):
+    """Bound on the mu-mass of N(N-1)...(N-k+1) over the loops longer than
+    k_max, for a count N <= scale * length.  The loops of length m weigh
+    Tr(P^m)/m <= n rho^m/m, so the tail is at most n scale^k sum_{m > k_max}
+    m^{k-1} rho^m, a series whose terms fall by at most
+    r = rho ((k_max + 2)/(k_max + 1))^{k-1}.  At k = 1 it is (k_max + 1)
+    times ls.enumeration_tail_bound."""
+    rho = ls.spectral_radius(e)
+    r = rho * ((k_max + 2) / (k_max + 1)) ** (k - 1)
+    return e.n * scale**k * (k_max + 1) ** (k - 1) * rho ** (k_max + 1) / (1 - r)
+
+
+def test_visit_and_traversal_counts_match_enumeration():
+    # lambda = 5.7, 12.5, 5.2: the closed forms hold beyond constant lambda
+    e = ls.load_energy_form({"vertices": ["a", "b", "c"], "edges": [["a", "b", 1], ["b", "c", 2.5], ["a", "c", 0.7]],
+                             "killing": {"a": 4, "b": 9, "c": 2}})
+    k_max = 14
+    loops, tail = ls.enumerate_loops(e, k_max)
+    assert enumeration_tail(e, k_max, 1, 1.0) == pytest.approx((k_max + 1) * tail, rel=1e-12)
+    for x in e.vertices:
+        exact = ls.mu_visit_count(e, x)
+        enum = sum(mass * loop.vertices.count(e.index[x]) for loop, mass in loops)
+        bound = enumeration_tail(e, k_max, 1, 1.0)
+        assert bound < 1e-4 * exact
+        assert 0 <= exact - enum <= bound
+    for x, y in itertools.permutations(e.vertices, 2):
+        i, j = e.index[x], e.index[y]
+        for k in (1, 2, 3):
+            # a loop of length m steps from x to y at most m/2 times
+            exact, enum = ls.edge_count_moments(e, (x, y), k), 0.0
+            for loop, mass in loops:
+                v = loop.vertices
+                n_xy = sum(v[t] == i and v[(t + 1) % loop.p] == j for t in range(loop.p))
+                enum += mass * math.perm(n_xy, k)
+            assert 0 <= exact - enum <= enumeration_tail(e, k_max, k, 0.5)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_renormalized_power_is_the_inline_q2_bit_for_bit(alpha):
+    gen = np.random.default_rng(int(alpha * 10))
+    sigma = gen.uniform(0.2, 3.0)
+    c = gen.gamma(alpha, sigma, size=1000) - alpha * sigma
+    inline = 0.5 * (c**2 - 2 * sigma * c - alpha * sigma**2)
+    assert ls.renormalized_power(c, 2, alpha, sigma).tobytes() == inline.tobytes()
+    assert ls.renormalized_power(c, 1, alpha, sigma).tobytes() == c.tobytes()
+    assert np.array_equal(ls.renormalized_power(c, 0, alpha, sigma), np.ones_like(c))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("x, y", [("a", "-al"), ("a", "a"), ("al", "be")])
+def test_renormalized_power_moment_is_the_permanent_expansion(alpha, x, y):
+    from loopsoup.verify import exact_orth_covariance
+
+    e = ls.load_energy_form(ls.fixture("counterexample"))  # lambda is 4 at the corners, 3 at the midpoints
+    for k, l in itertools.product(range(3), repeat=2):
+        closed = ls.renormalized_power_moment(e, x, y, k, l, alpha)
+        assert closed == pytest.approx(exact_orth_covariance(e, x, y, k, l, alpha), abs=1e-12)
+
+
+def test_renormalized_powers_stop_at_k_2(p2):
+    from loopsoup.verify import exact_orth_covariance
+
+    with pytest.raises(GraphError, match="k <= 2"):
+        ls.renormalized_power(np.zeros(3), 3, 1.0, 0.5)
+    with pytest.raises(GraphError, match="k <= 2"):
+        exact_orth_covariance(p2, "x", "y", 3, 3, 1.0)
+
+
 def test_hit_avoid_single_point(p2):
     mass, prob = ls.mu_hit_avoid(p2, ["x"], [], alpha=1.0)
     # P(no loop of the alpha=1 soup visits x) = 1/(lambda_x G^{xx}) = 3/4

@@ -6,7 +6,9 @@ and scipy included) and prints the median and interquartile range of that
 time, the median ru_maxrss after the import, the number of modules loaded
 and whether scipy.stats was among them.  It then prints the best of three
 load_energy_form times on perfbench/inputs.py's killed L x L boxes, drawn
-from default_rng([1, L]), for L = 16, 32, 48, 64.
+from default_rng([1, L]), for L = 16, 32, 48, 64, and beside each the
+tracemalloc peak of a fourth load, traced apart so that the timed loads
+run untraced.
 
     python3 tools/startup.py [N]
 
@@ -20,6 +22,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -58,7 +61,7 @@ def main(argv):
           f"IQR {q3 - q1:.3f} s, ru_maxrss {statistics.median(r['maxrss_mb'] for r in runs):.1f} MB, "
           f"{statistics.median(r['modules'] for r in runs):.0f} modules, "
           f"scipy.stats loaded: {any(r['scipy_stats'] for r in runs)}")
-    print(f"{'L':>3} {'n':>5} {'load_s':>8}")
+    print(f"{'L':>3} {'n':>5} {'load_s':>8} {'peak_mb':>8}")
     for L in (16, 32, 48, 64):
         doc = inputs.killed_box(L, np.random.default_rng([1, L]))
         load_s = []
@@ -67,7 +70,12 @@ def main(argv):
             t0 = time.perf_counter()
             e = ls.load_energy_form(doc)
             load_s.append(time.perf_counter() - t0)
-        print(f"{L:3} {e.n:5} {min(load_s):8.4f}")
+        e = None
+        tracemalloc.start()
+        e = ls.load_energy_form(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(f"{L:3} {e.n:5} {min(load_s):8.4f} {peak / 2**20:8.1f}")
 
 
 if __name__ == "__main__":
