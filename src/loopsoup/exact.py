@@ -9,12 +9,16 @@ chain (killed outside D, with chi added to its killing, or a recurrent
 chain killed at its root), is green() of that chain's EnergyForm, so it
 comes from that chain's factor.
 
-green() works along the band of R: cut into blocks of rows at least as
-tall as the band is wide, R is block lower-bidiagonal, and G follows block
-row by block row from the last one, in O(n^2 b) work for half-bandwidth b
-(a killed L x L box numbered row by row has b = L).  A form of at most 32
-vertices, or one whose band fills its matrix, is a single block: its G is
-LAPACK potri of R.
+R vanishes more than the half-bandwidth b below its diagonal (a killed
+L x L box numbered row by row has b = L), so _factor keeps only its band:
+LAPACK dpbtrf factors the (b + 1) x n band of M_lambda - C, built from the
+form's nonzero pattern, in O(n b^2) work, and no n x n factor is formed.
+log det G is read from the band's first row, R's diagonal.  green() works
+along the band: cut into blocks of rows at least as tall as the band is
+wide, R is block lower-bidiagonal, and G follows block row by block row
+from the last one, in O(n^2 b) work.  A form of at most 32 vertices, or
+one whose band fills its matrix, is a single block: its G is LAPACK potri
+of R.
 
 Every determinant here is real and positive, so _logdet_posdef is the one
 log-determinant.  For a transient chain and an antisymmetric one-form
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpbtrf, dpotri
 
 from .graph import EnergyForm, GraphError, _root_index, per_form, restrict
 
@@ -88,23 +92,32 @@ def _logdet_posdef(A):
 @per_form
 def _factor(e):
     """Read-only lower Cholesky factor R R^T = M_lambda - C of a transient
-    form, taken once per form; GraphError if there is none or it is not finite."""
+    form in LAPACK band storage, taken once per form by dpbtrf: the
+    (b + 1) x n array ab, b = _bandwidth(e), with ab[i - j, j] = R_ij, so
+    ab[0] is the diagonal of R.  The band of M_lambda - C is built from the
+    form's nonzero pattern and lambda; no n x n array is formed.
+    GraphError if there is no factor or it is not finite."""
     if not e.transient:
         raise GraphError("Green function requires a transient chain (some killing)")
-    try:
-        R = np.linalg.cholesky(e.laplacian())
-    except np.linalg.LinAlgError as err:
-        raise GraphError("energy matrix is not numerically positive definite: some component is never killed") from err
+    rows, cols = e.nonzero
+    lower = rows > cols
+    rows, cols = rows[lower], cols[lower]
+    ab = np.zeros((_bandwidth(e) + 1, e.n), order="F")  # Fortran order: dpbtrf factors it in place
+    ab[0] = e.lam
+    ab[rows - cols, cols] = -e.C[rows, cols]
+    ab, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise GraphError("energy matrix is not numerically positive definite: some component is never killed")
     # a NaN or inf in row i of R reaches R_ii = sqrt(A_ii - sum_j R_ij^2)
-    if not np.isfinite(np.diagonal(R)).all():
+    if not np.isfinite(ab[0]).all():
         raise GraphError("energy matrix is not finite")
-    R.setflags(write=False)
-    return R
+    ab.setflags(write=False)
+    return ab
 
 
 def _logdet_green(e):
-    """log det G = -2 sum log R_ii, from the Cholesky factor R alone."""
-    return -2.0 * float(np.log(np.diagonal(_factor(e))).sum())
+    """log det G = -2 sum log R_ii, from the diagonal of the factor alone."""
+    return -2.0 * float(np.log(_factor(e)[0]).sum())
 
 
 @per_form
@@ -114,6 +127,13 @@ def _bandwidth(e):
     factor R vanish more than b below the diagonal."""
     rows, cols = e.nonzero
     return int((rows - cols).max(initial=0))
+
+
+def _band_block(ab, a, c, d):
+    """R[a:d, a:c] as a dense array, read from the band ab of _factor:
+    green()'s diagonal block D_k = R[a:c, a:c] over E_{k+1} = R[c:d, a:c]."""
+    k = np.arange(a, d)[:, None] - np.arange(a, c)  # i - j
+    return np.where((k >= 0) & (k < len(ab)), ab[k.clip(0, len(ab) - 1), np.arange(a, c)], 0.0)
 
 
 def _block_rows(e):
@@ -137,20 +157,22 @@ def green(e):
 
     where potri(D) = (D D^T)^{-1}.  G[k,>k] is copied into G[>k,k], and the
     lower triangle of G[k,k] into its upper one, so G is exactly symmetric.
-    The work is O(n^2 s), against O(n^3) for potri of R.  A form with n <= s
-    (every form of at most 32 vertices, and any whose band fills the matrix)
-    is one block, and its G is LAPACK potri of R itself.
+    The work is O(n^2 s), against O(n^3) for potri of R.  D_k and E_{k+1}
+    are read from the band of R by _band_block.  A form with n <= s (every
+    form of at most 32 vertices, and any whose band fills the matrix) is one
+    block, and its G is LAPACK potri of R itself.
     """
-    R = _factor(e)
+    ab = _factor(e)
     n = e.n
     s = _block_rows(e)
     G = np.empty((n, n)) if n > s else None
     for a in range(s * ((n - 1) // s), -1, -s):
-        c = min(a + s, n)
-        Gkk = dpotri(R[a:c, a:c].T)[0].T  # potri on the upper factor D_k^T: lower triangle set
+        c, d = min(a + s, n), min(a + 2 * s, n)
+        B = _band_block(ab, a, c, d)
+        D = B[: c - a]
+        Gkk = dpotri(D.T)[0].T  # potri on the upper factor D_k^T: lower triangle set
         if c < n:
-            d = min(c + s, n)
-            W = solve_triangular(R[a:c, a:c], R[c:d, a:c].T, trans="T", lower=True)
+            W = solve_triangular(D, B[c - a :].T, trans="T", lower=True)
             WG = W @ G[c:d, c:]
             G[a:c, c:] = -WG
             G[c:, a:c] = G[a:c, c:].T

@@ -11,6 +11,8 @@ This module holds every closed-form soup moment that the verify suites
 test: the alpha-permanent moments of the occupation field, the
 renormalized powers Q_k and their orthogonality, visit and traversal
 counts.  The suites compare samples and independent oracles against them.
+The moments read one read-only G per form (_green_matrix, kept by
+graph.per_form), not a fresh green() each.
 """
 
 import itertools
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import _chi_form, _logdet_green, _logdet_posdef, green, hitting_kernel
-from .graph import GraphError, _register_sizes
+from .graph import GraphError, _register_sizes, per_form
 
 __all__ = [
     "DiscreteLoop",
@@ -220,6 +222,15 @@ def alpha_permanent(M, alpha, fixed_point_free=False):
     return total
 
 
+@per_form
+def _green_matrix(e):
+    """Read-only G of the form, built once per form by green() and read by
+    every closed-form moment here; freed with the form."""
+    G = green(e).G
+    G.setflags(write=False)
+    return G
+
+
 def occupation_moments(e, alpha, points, kind="raw"):
     """Moments of the occupation field at a vertex multiset.
 
@@ -229,7 +240,7 @@ def occupation_moments(e, alpha, points, kind="raw"):
     """
     points = list(points)
     idx = e.indices(points)
-    G = green(e).G
+    G = _green_matrix(e)
     M = G[np.ix_(idx, idx)]
     if kind == "raw":
         return alpha_permanent(M, alpha)
@@ -267,7 +278,7 @@ def renormalized_power_moment(e, x, y, k, l, alpha):
         return 0.0
     i, j = e.indices([x, y])
     rising = float(np.prod([alpha + t for t in range(k)]))
-    return green(e).G[i, j] ** (2 * k) * rising / math.factorial(k)
+    return _green_matrix(e)[i, j] ** (2 * k) * rising / math.factorial(k)
 
 
 def occupation_laplace(e, alpha, chi):
@@ -292,14 +303,14 @@ def edge_count_moments(e, edge, k):
     i, j = e.index[x], e.index[y]
     if e.C[i, j] <= 0:
         raise GraphError(f"edge ({x!r}, {y!r}) has zero conductance")
-    G = green(e).G
+    G = _green_matrix(e)
     return math.factorial(k - 1) * (G[i, j] * e.C[i, j]) ** k
 
 
 def mu_visit_count(e, x):
     """mu(N_x) = lambda_x G^{xx} - 1 (trivial loops carry N_x = 0)."""
     i = e.index[x]
-    return e.lam[i] * green(e).G[i, i] - 1.0
+    return e.lam[i] * _green_matrix(e)[i, i] - 1.0
 
 
 def _restricted_mass(e, keep_idx):

@@ -23,7 +23,11 @@ sampler.  The cache changes no draw: a warm sampler draws what a fresh
 one draws.  Every walk that must end steps a _step_table in _walk, the
 one step loop of Wilson's branches, bridge excursions and absorbed walks:
 it stops on entering a vertex flagged in a stop list (the tree, the bridge
-target, or none) or the cemetery column, within MAX_STEPS steps.  Holding
+target, or none) or the cemetery column, within MAX_STEPS steps.  Both
+kinds of table go through one row builder, _sparse_cdfs, fed (row, column,
+weight) triples in np.nonzero order: Wilson's from the form's nonzero
+pattern and killed vertices (_jump_weights), with no n x n array, and a
+bridge's from its dense h-transform.  Holding
 times are drawn per walk, after it stops.  Wilson's algorithm and
 loop_erase share one loop erasure, _erase.  A spanning tree is an int
 parent array, n the cemetery.
@@ -42,9 +46,11 @@ division that each position drawn alone makes.
 
 The free field needs no Green matrix: with M_lambda - C = R R^T (Cholesky),
 phi = R^{-T} z for z standard normal has covariance
-R^{-T} R^{-1} = (M_lambda - C)^{-1} = G.  R is taken once per form
-(exact._factor) and shared by every field and bridge drawn on it; _field
-is the one solve, for sample_gff and the Dynkin suite.
+R^{-T} R^{-1} = (M_lambda - C)^{-1} = G.  R is taken once per form and
+held as its band (exact._factor), shared by every field and bridge drawn
+on it; _field is the one banded triangular solve (LAPACK tbtrs), for
+sample_gff and the Dynkin suite, and a bridge's Green column is one
+banded solve (LAPACK pbtrs).
 
 _soups is the one soup draw; sample_loop_soup is a batch of one.  Soup
 statistics are sums over loop positions: the occupation field, the visit
@@ -61,8 +67,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpbtrs, dtbtrs
 from scipy.special import eval_hermitenorm
 
 from .exact import _factor
@@ -187,17 +192,36 @@ def _row(w):
     return tuple(cdf[:-1].tolist())
 
 
-def _sparse_cdfs(M):
-    """Nonzero entries of each row of the row-stochastic M as lists of
-    tuple rows (cdf, column), cdf[u] the _row of row u's nonzero weights:
-    a uniform r draws column[u][bisect_right(cdf[u], r)].  A row of no
-    weight is empty."""
-    rows, cols = np.nonzero(M)
-    end = np.cumsum(np.bincount(rows, minlength=M.shape[0])).tolist()
-    weights = M[rows, cols]
-    column = tuple(np.arange(M.shape[1]).astype(object)[cols].tolist())  # one int object per column
+def _sparse_cdfs(n, rows, cols, weights):
+    """Step rows of an n-row chain from its nonzero weights at (rows, cols),
+    in np.nonzero order (row by row, columns ascending), as lists of tuple
+    rows (cdf, column), cdf[u] the _row of row u's weights: a uniform r
+    draws column[u][bisect_right(cdf[u], r)].  A row of no weight is
+    empty."""
+    end = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    column = tuple(np.arange(cols.max(initial=0) + 1, dtype=object)[cols].tolist())  # one int object per column
     spans = list(zip([0, *end[:-1]], end))
     return [_row(weights[i:j]) if i < j else () for i, j in spans], [column[i:j] for i, j in spans]
+
+
+def _jump_weights(e):
+    """Nonzero entries of [P | kappa/lambda] as (rows, cols, weights) in
+    np.nonzero order, column n the cemetery, from the form's nonzero
+    pattern and its killed vertices: C_uv / lambda_u and kappa_u / lambda_u,
+    each the IEEE quotient the dense matrix holds.  No n x n array is
+    formed.  A quotient that underflows to 0 is left out, as np.nonzero of
+    the dense matrix leaves it out."""
+    rows, cols = e.nonzero
+    killed = np.flatnonzero(e.kappa)
+    weights = np.concatenate([e.C[rows, cols], e.kappa[killed]])
+    rows = np.concatenate([rows, killed])
+    cols = np.concatenate([cols, np.full(killed.size, e.n)])
+    # a stable sort by row puts each cemetery entry last in its row
+    order = np.argsort(rows, kind="stable")
+    rows, cols = rows[order], cols[order]
+    weights = weights[order] / e.lam[rows]
+    kept = weights != 0
+    return rows[kept], cols[kept], weights[kept]
 
 
 @per_form
@@ -205,14 +229,14 @@ def _step_table(e, target=None):
     """Jump law of the chain as (cdf, column, V, stop): _sparse_cdfs rows,
     built once per form and target (the form's arrays are read-only).
 
-    No target: rows of [P | kappa/lambda], column n the cemetery, V and
-    stop None, after checking that every walk ends: on a transient form
-    each component holds a killed vertex, and a recurrent form (walked to a
-    root) is connected.  Target y: V = (I-P)^{-1} e_y = lambda_y G e_y, one
-    solve with the Cholesky factor, row u the bridge step
-    P^u_z V^z / sum_z P^u_z V^z, and the stop list flagging y alone; a row
-    of no weight (another component, a vertex with no edges) stays empty,
-    and no bridge enters it.
+    No target: rows of [P | kappa/lambda] from _jump_weights, column n the
+    cemetery, V and stop None, after checking that every walk ends: on a
+    transient form each component holds a killed vertex, and a recurrent
+    form (walked to a root) is connected.  Target y: V = (I-P)^{-1} e_y =
+    lambda_y G e_y, one banded solve with the Cholesky factor, row u the
+    bridge step P^u_z V^z / sum_z P^u_z V^z over the dense row, and the stop
+    list flagging y alone; a row of no weight (another component, a vertex
+    with no edges) stays empty, and no bridge enters it.
     """
     if target is None:
         n_comp, labels = e.connected_components
@@ -220,17 +244,15 @@ def _step_table(e, target=None):
             raise GraphError("some component is never killed: its walks never end")
         if not e.transient and n_comp > 1:
             raise GraphError("recurrent chain is disconnected: some walks never reach the root")
-        V = stop = None
-        M = np.hstack([e.C, e.kappa[:, None]]) / e.lam[:, None]
-    else:
-        V = np.zeros(e.n)
-        V[target] = e.lam[target]
-        V = dpotrs(_factor(e).T, V)[0]  # LAPACK potrs on the upper factor R.T, no copy of R
-        M = e.P * V
-        w = M.sum(axis=1, keepdims=True)
-        np.divide(M, w, out=M, where=w > 0)
-        stop = [v == target for v in range(e.n)]
-    return (*_sparse_cdfs(M), V, stop)
+        return (*_sparse_cdfs(e.n, *_jump_weights(e)), None, None)
+    V = np.zeros(e.n)
+    V[target] = e.lam[target]
+    V = dpbtrs(_factor(e), V, lower=1)[0]  # LAPACK pbtrs on the factor's band
+    M = e.P * V
+    w = M.sum(axis=1, keepdims=True)
+    np.divide(M, w, out=M, where=w > 0)
+    rows, cols = np.nonzero(M)
+    return (*_sparse_cdfs(e.n, rows, cols, M[rows, cols]), V, [v == target for v in range(e.n)])
 
 
 # step bound of every walk that must end (a Wilson branch, a bridge excursion,
@@ -521,8 +543,8 @@ def sample_gff(e, rng, complex_field=False):
 
     phi = R^{-T} z, with R R^T = M_lambda - C the Cholesky factorisation
     of the energy matrix and z standard normal: one factor per form (the
-    memoised exact._factor) and one triangular solve per real part.  G is
-    never formed.
+    memoised exact._factor, a band) and one banded triangular solve per
+    real part.  Neither G nor a dense factor is formed.
     """
     gen = as_generator(rng)
     phi = _field(e, gen.standard_normal(e.n))
@@ -534,7 +556,7 @@ def sample_gff(e, rng, complex_field=False):
 def _field(e, z):
     """R^{-T} z: standard normal columns z give free-field columns, of
     covariance G = (R R^T)^{-1}."""
-    return solve_triangular(_factor(e), z, lower=True, trans="T", check_finite=False)
+    return dtbtrs(_factor(e), z, uplo="L", trans="T")[0]  # LAPACK tbtrs on the factor's band
 
 
 def wick_power(gxx, value, n):

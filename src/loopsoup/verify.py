@@ -241,17 +241,18 @@ def exact_orth_covariance(e, x, y, k, l, alpha):
 
 def enumerate_spanning_trees(e, root=None):
     """Exhaustive oracle: all rooted spanning trees with their exact
-    probabilities Z_e * prod C, as arrays (parents, probabilities), row t of
-    parents tree t's parent array.  Transient chains are rooted at the
-    cemetery, index n; recurrent ones at the given root, as the chain
-    killed there: the root's children point at it and the root at n."""
+    probabilities Z_e * prod C = exp(log det G + sum log C), as arrays
+    (parents, probabilities), row t of parents tree t's parent array.
+    Transient chains are rooted at the cemetery, index n; recurrent ones at
+    the given root, as the chain killed there: the root's children point at
+    it and the root at n."""
     if e.n > 6:
         raise GraphError("spanning tree enumeration guard exceeded")
     n, keep, end = e.n, np.arange(e.n), _root_index(e, root)
     if end < n:
         keep = np.delete(keep, end)
         e = restrict(e, [e.vertices[i] for i in keep])
-    Z = float(np.exp(green(e).logdet_G))
+    logdet_G = green(e).logdet_G
     # each kept vertex chooses a neighbour, or the end (the cemetery or the root) by its killing
     choosers = []
     for i in range(e.n):
@@ -259,7 +260,7 @@ def enumerate_spanning_trees(e, root=None):
         if e.kappa[i] > 0:
             opts.append((end, e.kappa[i]))
         choosers.append(opts)
-    parents, probs = [], []
+    parents, log_weights = [], []
     for combo in itertools.product(*choosers):
         parent = np.full(n + 1, n)  # n, the end of every tree, is its own parent
         parent[keep] = [c[0] for c in combo]
@@ -268,12 +269,14 @@ def enumerate_spanning_trees(e, root=None):
             reach = parent[reach]
         if (reach == n).all():
             parents.append(parent[:n])
-            with np.errstate(over="ignore"):  # rejected below
-                probs.append(Z * float(np.prod([c[1] for c in combo])))
-    # every tree has positive probability, unless Z * prod C leaves the floats
-    if not all(0 < p < math.inf for p in probs):
+            log_weights.append(sum(math.log(c[1]) for c in combo))
+    # in log space: Z and prod C may each leave the floats where their product does not
+    with np.errstate(over="ignore"):  # rejected below
+        probs = np.exp(logdet_G + np.array(log_weights))
+    # every tree has positive probability, unless it leaves the floats
+    if not all(0 < p < math.inf for p in probs.tolist()):
         raise GraphError("spanning tree probabilities leave the floating-point range")
-    return np.array(parents).reshape(-1, n), np.array(probs)
+    return np.array(parents).reshape(-1, n), probs
 
 
 def _inclusions(parents, iu, ju):
@@ -395,6 +398,13 @@ def _inclusion_probability(c, K, sub):
     return p
 
 
+def _edge_laplace(c, K, g):
+    """E[exp(-sum_a g_a 1{a in T})] = det(I - D K D) over the edges of
+    conductances c and transfer matrix K, D^2 = diag c (1 - e^{-g})."""
+    d = np.sqrt(c * (1 - np.exp(-g)))
+    return float(np.linalg.det(np.eye(len(c)) - d[:, None] * K * d[None, :]))
+
+
 def verify_transfer_current(e, n_samples=0, rng=0, root=None):
     """Spanning trees: exhaustive-law oracle, inclusion determinants of the
     edge sets {e_0}, {e_1} and {e_0, e_1}, the determinantal Laplace
@@ -425,8 +435,7 @@ def verify_transfer_current(e, n_samples=0, rng=0, root=None):
             residual=p12 - p1 * p2, tol=1e-12,
         )
     g = 0.3 + 0.1 * np.arange(len(all_edges))
-    d = np.sqrt(c * (1 - np.exp(-g)))
-    laplace_exact = float(np.linalg.det(np.eye(len(all_edges)) - d[:, None] * tm.K * d[None, :]))
+    laplace_exact = _edge_laplace(c, tm.K, g)
     if n_samples > 0:
         rows, _ = _trees(e, gen, root, n_samples)
         inc = _inclusions(rows, iu, ju)
@@ -445,8 +454,10 @@ def verify_transfer_current(e, n_samples=0, rng=0, root=None):
         exponent = np.zeros(n_samples)
         for a, g_a in enumerate(g):
             exponent[inc[:, a]] += g_a
-        mean, se = _mean_se(np.exp(-exponent))
-        report.add_stat("edge Laplace functional", laplace_exact, mean, se)
+        # the exact se, from E[e^{-2 <g, 1_T>}]: a sample of equal trees has no spread
+        var = _edge_laplace(c, tm.K, 2 * g) - laplace_exact**2
+        se = np.sqrt(max(var, 1e-12) / n_samples)
+        report.add_stat("edge Laplace functional", laplace_exact, float(np.exp(-exponent).mean()), se)
     return report.finalize(t0)
 
 

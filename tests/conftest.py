@@ -1,8 +1,9 @@
 import os
 
 # One BLAS thread for the whole session, as perfbench/run.py sets it, before
-# numpy loads: LAPACK's potri and potrs return different last bits at
-# different thread counts, and the golden digests pin exact values bit for bit.
+# numpy loads: LAPACK's potri (G's diagonal blocks) and the soup sampler's
+# eigh return different last bits at different thread counts, and the golden
+# digests pin exact values bit for bit.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 

@@ -4,10 +4,10 @@ import pathlib
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import loopsoup as ls
+from loopsoup import exact
 from loopsoup.cli import main
 
 
@@ -96,15 +96,15 @@ def test_gff(fixture_dir, capsys):
 
 @pytest.fixture
 def cholesky_calls(monkeypatch):
-    """Shapes of the matrices np.linalg.cholesky factors during the test."""
+    """Shapes of the bands LAPACK dpbtrf factors during the test."""
     calls = []
-    cholesky = np.linalg.cholesky
+    dpbtrf = exact.dpbtrf
 
-    def counted(A):
-        calls.append(A.shape)
-        return cholesky(A)
+    def counted(ab, **kw):
+        calls.append(ab.shape)
+        return dpbtrf(ab, **kw)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(exact, "dpbtrf", counted)
     return calls
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotri
 
 import loopsoup as ls
-from loopsoup.exact import _bandwidth, _factor, _logdet_posdef, _omega_matrix, hitting_kernel
+from loopsoup.exact import _band_block, _bandwidth, _factor, _logdet_posdef, _omega_matrix, hitting_kernel
 from loopsoup.graph import GraphError
 from loopsoup.verify import enumerate_spanning_trees
 
@@ -35,13 +35,28 @@ def test_green_satisfies_g_kappa_equals_one(p2, k4c1):
         assert np.allclose(ls.green(e).G @ e.kappa, 1.0, atol=1e-12)
 
 
+def _dense_factor(e):
+    """The factor R as a dense n x n array, from its band."""
+    return _band_block(_factor(e), 0, e.n, e.n)
+
+
 def test_factor_is_memoised_and_read_only(k4c1):
-    R = _factor(k4c1)
-    assert _factor(k4c1) is R
-    assert not R.flags.writeable
+    ab = _factor(k4c1)
+    assert _factor(k4c1) is ab
+    assert not ab.flags.writeable
+    assert ab.shape == (_bandwidth(k4c1) + 1, k4c1.n)
+    R = _dense_factor(k4c1)
+    assert np.array_equal(R, np.tril(R)) and np.array_equal(np.diagonal(R), ab[0])
     assert np.allclose(R @ R.T, k4c1.laplacian(), atol=1e-12)
     with pytest.raises(ValueError):
-        R[0, 0] = 1.0
+        ab[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("L", [1, 6, 12])
+def test_banded_factor_matches_dense_cholesky(L):
+    e = killed_box(L, L)
+    R = np.linalg.cholesky(e.laplacian())
+    assert np.abs(_dense_factor(e) - R).max() <= 1e-14 * np.abs(R).max()
 
 
 _TRANSIENT_FIXTURES = sorted(
@@ -60,7 +75,7 @@ def shuffled_box(L, seed):
 
 def _potri_green(e):
     """G as LAPACK potri of the whole factor, lower triangle mirrored."""
-    G = dpotri(_factor(e).T)[0].T
+    G = dpotri(_dense_factor(e).T)[0].T
     for j in range(e.n - 1):
         G[j, j + 1 :] = G[j + 1 :, j]
     return G

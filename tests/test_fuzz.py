@@ -125,6 +125,9 @@ HOSTILE = {
                           "edges": [["v0", "v1", 2.177483151596776], ["v0", "v2", 2.309236333417417],
                                     ["v1", "v2", 4.395453452845478]],
                           "killing": {"v0": 8.946910413070427}}, "loop_erasure", None),
+    # det G and prod C leave the floats, the tree probability exp(log det G + sum log C) does not
+    "huge_tree_weights": ({"vertices": ["v0", "v1"], "edges": [["v0", "v1", 1e300]], "killing": {"v0": 1e300}},
+                          "transfer_current", None),
     # lambda_x = 1e-12: kappa_x - 2h makes lambda_x negative
     "tiny_lambda": ({"vertices": ["v0", "v1"], "edges": [["v0", "v1", 1e-12]],
                      "killing": {"v1": 0.7626424563334165}}, "energy_variation", 2),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import loopsoup as ls
+from loopsoup import loops
 from loopsoup.graph import GraphError
 from loopsoup.loops import DiscreteLoop, _canonical_rotation
 
@@ -178,6 +179,19 @@ def test_edge_count_factorial_moments(p2):
 
 def test_visit_count_p2(p2):
     assert ls.mu_visit_count(p2, "x") == pytest.approx(2 * (2 / 3) - 1, abs=1e-12)
+
+
+def test_moments_read_one_green_per_form(k4c1, monkeypatch):
+    calls, green = [], loops.green
+    monkeypatch.setattr(loops, "green", lambda e: calls.append(e) or green(e))
+    G = green(k4c1).G
+    for _ in range(2):
+        assert ls.occupation_moments(k4c1, 1.0, ["a", "b"]) == G[0, 0] * G[1, 1] + G[0, 1] ** 2
+        assert ls.renormalized_power_moment(k4c1, "a", "b", 1, 1, 1.0) == G[0, 1] ** 2
+        assert ls.mu_visit_count(k4c1, "a") == k4c1.lam[0] * G[0, 0] - 1.0
+        assert ls.edge_count_moments(k4c1, ("a", "b"), 1) == G[0, 1] * k4c1.C[0, 1]
+    assert calls == [k4c1]
+    assert not loops._green_matrix(k4c1).flags.writeable
 
 
 def enumeration_tail(e, k_max, k, scale):

@@ -194,7 +194,8 @@ def _probability_rows(draw):
 @settings(deadline=None, max_examples=200)
 def test_table_draws_match_generator_choice(M, seed):
     ref, dense, sparse = (ls.RngStream(seed).generator for _ in range(3))
-    cdf, column = _sparse_cdfs(M)
+    rows, cols = np.nonzero(M)
+    cdf, column = _sparse_cdfs(len(M), rows, cols, M[rows, cols])
     for _ in range(10):
         for u, p in enumerate(M):
             expected = ref.choice(len(p), p=p)

@@ -1,4 +1,10 @@
 import gc
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 import weakref
 from bisect import bisect_right
 
@@ -12,6 +18,7 @@ from test_exact import _two_edges
 
 import loopsoup as ls
 from loopsoup import samplers
+from loopsoup.exact import _factor
 from loopsoup.graph import GraphError
 from loopsoup.loops import PointedLoop
 from loopsoup.samplers import (
@@ -540,6 +547,77 @@ def test_wilson_step_table_built_once_per_form(k4c1):
     # the walk table, and a bridge table per target
     for target in (None, 1):
         assert _step_table(k4c1, target) is _step_table(k4c1, target)
+
+
+def _dense_walk_rows(e):
+    """Wilson's step rows as the dense build made them: the _row of each row
+    of [C | kappa] / lambda at its np.nonzero columns, column n the cemetery."""
+    M = np.hstack([e.C, e.kappa[:, None]]) / e.lam[:, None]
+    cols = [np.flatnonzero(row) for row in M]
+    return [_row(row[c]) if c.size else () for row, c in zip(M, cols)], [tuple(c.tolist()) for c in cols]
+
+
+@pytest.mark.parametrize(
+    "e",
+    [ls.load_energy_form(ls.fixture(name)) for name in sorted(ls.FIXTURES)]
+    + [killed_box(7, 2), killed_box(16, 5),
+       # C_01 / lambda_0 underflows to 0: the dense build leaves the entry out
+       ls.EnergyForm(["a", "b", "c"], [[0, 5e-324, 0], [5e-324, 0, 1], [0, 1, 0]], [1e10, 0, 1])],
+    ids=[*sorted(ls.FIXTURES), "box7", "box16", "underflow"],
+)
+def test_walk_table_from_the_nonzeros_matches_the_dense_rows(e):
+    cdf, column, V, stop = _step_table(e)
+    assert (cdf, column) == _dense_walk_rows(e) and V is None and stop is None
+
+
+def test_factor_field_and_tree_allocate_no_dense_matrix():
+    e = killed_box(32, 4)  # a fresh form: no factor, table or P yet
+    tracemalloc.start()
+    try:
+        _factor(e)
+        ls.sample_gff(e, ls.RngStream(0))
+        ls.wilson_sample(e, ls.RngStream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < e.n**2 * 8
+
+
+# digests of a field, a bridge, a Wilson tree and log det G on the graph
+# document argv[1], printed as JSON
+_THREAD_DIGESTS = """
+import hashlib, json, sys
+import loopsoup as ls
+e = ls.load_energy_form(sys.argv[1])
+digest = lambda *parts: hashlib.sha256(repr(parts).encode()).hexdigest()
+bridge = ls.sample_bridge(e, e.vertices[0], e.vertices[-1], ls.RngStream(2))
+tree, ens = ls.wilson_sample(e, ls.RngStream(3))
+print(json.dumps({
+    "field": digest(ls.sample_gff(e, ls.RngStream(1)).phi.tolist()),
+    "bridge": digest(bridge.vertices, bridge.taus),
+    "tree": digest(tree.parent_index.tolist(), [(l.vertices, l.taus) for l in ens.loops], ens.trivial.tolist()),
+    "logdet_G": digest(ls.green(e).logdet_G),
+}))
+"""
+
+
+def test_banded_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # only 1 and 2 threads are tested: the reference host has two cores
+    e = killed_box(16, 6)
+    iu, ju = np.nonzero(np.triu(e.C))
+    doc = {"vertices": list(e.vertices), "edges": [[e.vertices[i], e.vertices[j], e.C[i, j]] for i, j in zip(iu, ju)],
+           "killing": dict(zip(e.vertices, e.kappa.tolist()))}
+    path = tmp_path / "box16.json"
+    path.write_text(json.dumps(doc))
+    src = str(pathlib.Path(ls.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", _THREAD_DIGESTS, str(path)],
+                              capture_output=True, text=True, env=env, timeout=120, check=True)
+        digests.append(json.loads(done.stdout))
+    assert digests[0] == digests[1]
 
 
 def test_walk_stops_on_a_flagged_vertex_or_the_cemetery():

@@ -43,6 +43,26 @@ def test_transfer_current_rooted(k4_rooted):
     _assert_all_pass(r)
 
 
+def test_tree_law_where_det_g_and_prod_c_leave_the_floats():
+    # det G = 1e-600 and prod C = 1e600 underflow and overflow; their product is 1
+    e = ls.load_energy_form({"vertices": ["v0", "v1"], "edges": [["v0", "v1", 1e300]], "killing": {"v0": 1e300}})
+    parents, probs = enumerate_spanning_trees(e)
+    assert parents.tolist() == [[2, 0]] and probs == pytest.approx([1.0], rel=1e-12)
+    report = ls.verify_transfer_current(e, n_samples=20, rng=ls.RngStream(0))
+    assert report.checks[0].name == "tree law total mass" and report.checks[0].passed
+
+
+def test_edge_laplace_se_is_exact_when_every_tree_is_the_same():
+    # the tree v1 -> v0 -> cemetery has probability 0.98: at n = 30 every
+    # sampled tree has the same edge set, so a sample se would be 0
+    e = ls.load_energy_form({"vertices": ["v0", "v1", "v2", "v3"],
+                             "edges": [["v0", "v1", 1.0], ["v0", "v2", 1.0], ["v2", "v3", 1.0]],
+                             "killing": {"v0": 6.0, "v1": 1 / 64}})
+    report = ls.verify_transfer_current(e, n_samples=30, rng=ls.RngStream(0))
+    check = next(c for c in report.checks if c.name == "edge Laplace functional")
+    assert check.se > 0 and check.z is not None and check.passed
+
+
 def test_loop_erasure(p2, k4c1):
     _assert_all_pass(ls.verify_loop_erasure(p2, "x", "y", n_samples=5000, rng=ls.RngStream(14)))
     _assert_all_pass(ls.verify_loop_erasure(k4c1, "a", "b", n_samples=5000, rng=ls.RngStream(15)))

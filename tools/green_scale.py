@@ -1,14 +1,17 @@
-"""Time the Cholesky factor and the Green function on killed L x L boxes.
+"""Time the banded Cholesky factor and the Green function on killed L x L
+boxes.
 
 Each box is perfbench/inputs.py's, drawn from default_rng([1, L]).  For
-each it prints n, the half-bandwidth b, the number of row blocks green()
+each it prints n, the half-bandwidth b, the size of the factor's
+(b + 1) x n band in MB (2^20 bytes), the number of row blocks green()
 works in, the time of exact._factor (once, on a fresh form), the best of
 three calls of green(), and max |L G - I| with L the energy matrix.
 
     python3 tools/green_scale.py [L ...]
 
 L defaults to 16 32 48 64.  BLAS is pinned to one thread, as in the tests
-and the benchmark.  The 64 x 64 box takes about 0.8 GB at its peak.
+and the benchmark.  The 64 x 64 box takes about 0.5 GB at its peak (C, G
+and the energy matrix of the residual, 128 MB each).
 """
 
 import os
@@ -41,11 +44,11 @@ def residual(e, G, cols=512):
 
 def main(argv):
     sizes = [int(arg) for arg in argv[1:]] or [16, 32, 48, 64]
-    print(f"{'L':>3} {'n':>5} {'b':>3} {'blocks':>6} {'factor_s':>9} {'green_s':>8} {'|LG-I|':>8}")
+    print(f"{'L':>3} {'n':>5} {'b':>3} {'band_mb':>7} {'blocks':>6} {'factor_s':>9} {'green_s':>8} {'|LG-I|':>8}")
     for L in sizes:
         e = ls.load_energy_form(inputs.killed_box(L, np.random.default_rng([1, L])))
         t0 = time.perf_counter()
-        _factor(e)
+        band_mb = _factor(e).nbytes / 2**20
         factor_s = time.perf_counter() - t0
         green_s = []
         for _ in range(3):
@@ -53,7 +56,7 @@ def main(argv):
             G = ls.green(e).G
             green_s.append(time.perf_counter() - t0)
         blocks = -(-e.n // _block_rows(e))
-        print(f"{L:3} {e.n:5} {_bandwidth(e):3} {blocks:6} {factor_s:9.4f} {min(green_s):8.4f} "
+        print(f"{L:3} {e.n:5} {_bandwidth(e):3} {band_mb:7.2f} {blocks:6} {factor_s:9.4f} {min(green_s):8.4f} "
               f"{residual(e, G):8.1e}")
 
 
