@@ -20,25 +20,24 @@ memoised on the sampler, one per (base, steps left, vertex), each
 computed once from the Krylov columns P^m e_base of the first loop that
 misses it; at most MAX_CACHED_ROWS rows are kept, and they go with the
 sampler.  The cache changes no draw: a warm sampler draws what a fresh
-one draws.  Every walk that must end steps a _step_table in _walk, the
-one step loop of Wilson's branches, bridge excursions and absorbed walks:
-it stops on entering a vertex flagged in a stop list (the tree, the bridge
-target, or none) or the cemetery column, within MAX_STEPS steps.  Both
-kinds of table go through one row builder, _sparse_cdfs, fed (row, column,
-weight) triples in np.nonzero order: Wilson's from the form's nonzero
-pattern and killed vertices (_jump_weights), with no n x n array, and a
-bridge's from its dense h-transform.  Holding
-times are drawn per walk, after it stops.  Wilson's algorithm and
-loop_erase share one loop erasure, _erase.  A spanning tree is an int
-parent array, n the cemetery.
+one draws.  Both kinds of _step_table go through one row builder,
+_sparse_cdfs, fed (row, column, weight) triples in np.nonzero order:
+Wilson's from the form's nonzero pattern and killed vertices
+(_jump_weights), with no n x n array, and a bridge's from its dense
+h-transform.  Holding times are drawn per walk, after it stops.  A
+spanning tree is an int parent array, n the cemetery.
 
 Each chain has one core, shared by the one-sample API and the batches of
 the verify suites and the CLI: PointedLoopSampler._steps draws a loop's
 vertices (sample adds its holding times), _bridges draws n bridges
-(sample_bridge is n = 1), and _branches runs Wilson's algorithm for one
-tree (wilson_sample builds its erased loops; _trees keeps the parent
-arrays of n trees).  A batch writes its chains into flat array("q") and
-array("d") buffers (trees into the rows of one int array), never one
+(sample_bridge is n = 1), and _wilson runs Wilson's algorithm for one
+tree, erasing each branch's loops as it walks, on a stack of vertices
+(_trees keeps the parent arrays of n trees; wilson_sample asks for each
+branch's walk and takes its erased loops from _erase).  Every walk that
+must end, in these cores and in _walk (a walk to a flagged vertex or the
+cemetery, which verify_loop_erasure takes), ends within MAX_STEPS steps
+or raises GraphError.  A batch writes its chains into flat array("q")
+and array("d") buffers (trees into the rows of one int array), never one
 object per sample, and makes each draw the one-sample API makes, in the
 same order, so it draws the same streams.  The holding times of loops and
 bridges are one division of the buffers, exps / lambda[vertex], the IEEE
@@ -226,17 +225,17 @@ def _jump_weights(e):
 
 @per_form
 def _step_table(e, target=None):
-    """Jump law of the chain as (cdf, column, V, stop): _sparse_cdfs rows,
+    """Jump law of the chain as (cdf, column, V): _sparse_cdfs rows,
     built once per form and target (the form's arrays are read-only).
 
     No target: rows of [P | kappa/lambda] from _jump_weights, column n the
-    cemetery, V and stop None, after checking that every walk ends: on a
+    cemetery, V None, after checking that every walk ends: on a
     transient form each component holds a killed vertex, and a recurrent
     form (walked to a root) is connected.  Target y: V = (I-P)^{-1} e_y =
     lambda_y G e_y, one banded solve with the Cholesky factor, row u the
-    bridge step P^u_z V^z / sum_z P^u_z V^z over the dense row, and the stop
-    list flagging y alone; a row of no weight (another component, a vertex
-    with no edges) stays empty, and no bridge enters it.
+    bridge step P^u_z V^z / sum_z P^u_z V^z over the dense row; a row of no
+    weight (another component, a vertex with no edges) stays empty, and no
+    bridge enters it.
     """
     if target is None:
         n_comp, labels = e.connected_components
@@ -244,7 +243,7 @@ def _step_table(e, target=None):
             raise GraphError("some component is never killed: its walks never end")
         if not e.transient and n_comp > 1:
             raise GraphError("recurrent chain is disconnected: some walks never reach the root")
-        return (*_sparse_cdfs(e.n, *_jump_weights(e)), None, None)
+        return (*_sparse_cdfs(e.n, *_jump_weights(e)), None)
     V = np.zeros(e.n)
     V[target] = e.lam[target]
     V = dpbtrs(_factor(e), V, lower=1)[0]  # LAPACK pbtrs on the factor's band
@@ -252,11 +251,11 @@ def _step_table(e, target=None):
     w = M.sum(axis=1, keepdims=True)
     np.divide(M, w, out=M, where=w > 0)
     rows, cols = np.nonzero(M)
-    return (*_sparse_cdfs(e.n, rows, cols, M[rows, cols]), V, [v == target for v in range(e.n)])
+    return (*_sparse_cdfs(e.n, rows, cols, M[rows, cols]), V)
 
 
-# step bound of every walk that must end (a Wilson branch, a bridge excursion,
-# a walk to the cemetery)
+# step bound of every walk that must end (a Wilson branch, a bridge, a walk
+# to the cemetery): GraphError if one has not ended after MAX_STEPS steps
 MAX_STEPS = 10**7
 
 
@@ -506,25 +505,27 @@ def _bridges(e, i, j, gen, n_bridges):
     and each bridge's length.  At u a bridge stops with probability
     delta_{u,y}/V^u_y, else moves to z with probability P^u_z V^z_y / V^u_y
     (the _step_table of target j), so the stop test is drawn at each
-    arrival at y, between excursions.  Its holding times, exp(1)/lambda at
+    arrival at y, before the next step.  Its holding times, exp(1)/lambda at
     every position, the last too, are one standard_exponential draw after
-    it stops.  GraphError once a bridge holds MAX_STEPS positions."""
+    it stops.  GraphError if a bridge has not stopped after MAX_STEPS
+    steps."""
     if not e.transient:
         raise GraphError("bridge sampling requires a transient chain")
-    table = _step_table(e, j)
-    _, _, V, stop = table
+    cdf, column, V = _step_table(e, j)
     if V[i] <= 0:
         raise GraphError(f"{e.vertices[j]!r} unreachable from {e.vertices[i]!r}")
     stays, random = float(1.0 / V[j]), gen.random
     vertex, exps, lengths = array("q"), array("d"), array("q")
     for _ in range(n_bridges):
         start, u = len(vertex), i
-        while not (u == j and random() < stays):
-            path, u = _walk(gen, table, u, stop)
-            vertex.extend(path)
-            if len(vertex) - start >= MAX_STEPS:
-                raise GraphError("bridge failed to end")
-        vertex.append(j)
+        vertex.append(u)
+        for _ in range(MAX_STEPS):
+            if u == j and random() < stays:
+                break
+            u = column[u][bisect_right(cdf[u], random())]
+            vertex.append(u)
+        else:
+            raise GraphError("bridge failed to end")
         exps.frombytes(gen.standard_exponential(len(vertex) - start).tobytes())
         lengths.append(len(vertex) - start)
     vertex = np.array(vertex)
@@ -582,44 +583,78 @@ def _erase(path):
 
 
 def loop_erase(path):
-    """Self-avoiding path left by progressive erasure (_erase) of a path."""
-    return [path[t] for t in _erase(path)[0]]
+    """Self-avoiding path left by progressive loop erasure of a path: its
+    vertices on a stack, cut back to a vertex the path revisits while it is
+    stacked."""
+    kept, stacked = [], set()
+    for v in path:
+        if v in stacked:
+            while kept[-1] != v:
+                stacked.remove(kept.pop())
+        else:
+            stacked.add(v)
+            kept.append(v)
+    return kept
 
 
-def _branches(gen, table, end, parent):
-    """Wilson's algorithm for one tree, in the list parent of n entries:
-    each branch is a _walk from the least vertex not yet in the tree until
-    it enters the tree (the index end at first) or the cemetery, then one
-    standard_exponential draw for its visits, then its _erase.  Each kept
-    visit sets parent[v] to the next kept index, n at the cemetery; the
-    entry at end is left as it is.  Yields each branch as (path,
-    exponentials, kept positions, erased loops) once parent holds it."""
-    n = len(parent)
-    in_tree = [v == end for v in range(n)]
+def _wilson(gen, table, end, branch=None):
+    """Wilson's algorithm for one spanning tree on the _step_table table,
+    rooted at the index end (n, the cemetery, on a transient chain): its
+    parent list of n entries, n at the cemetery and at end, and the number
+    of loops its walks erased.
+
+    From each vertex not yet in the tree, in index order, a branch walks
+    until it enters the tree or the cemetery, erasing as it walks: the
+    vertices of its loop-erased path are a stack, flagged in on_path, and
+    a step onto a stacked vertex pops the stack back to that vertex, one
+    erased loop.  Then one standard_exponential draw, one value per
+    position walked, and each stacked vertex gets the next as its parent.
+    If branch is given, it is called with each branch's (path,
+    exponentials) before the next branch starts, path every index walked.
+    GraphError if a branch has not ended after MAX_STEPS steps."""
+    cdf, column, random, exponential = table[0], table[1], gen.random, gen.standard_exponential
+    n, erased = len(cdf), 0
+    parent, in_tree, on_path = [n] * n, [False] * (n + 1), [False] * n
+    in_tree[n] = in_tree[end] = True  # the cemetery ends every walk that reaches it
     for start in range(n):
         if in_tree[start]:
             continue
-        path, nxt = _walk(gen, table, start, in_tree)
-        exps = gen.standard_exponential(len(path))
-        kept, loops = _erase(path)
-        branch = [path[t] for t in kept] + [nxt]  # ends in the tree or at the cemetery n
-        for v, w in zip(branch, branch[1:]):
+        u, stack, path = start, [start], None if branch is None else [start]
+        on_path[start] = True
+        for steps in range(1, MAX_STEPS + 1):
+            u = column[u][bisect_right(cdf[u], random())]
+            if in_tree[u]:
+                break
+            if on_path[u]:
+                erased += 1
+                while stack[-1] != u:
+                    on_path[stack.pop()] = False
+            else:
+                on_path[u] = True
+                stack.append(u)
+            if path is not None:
+                path.append(u)
+        else:
+            raise GraphError("walk failed to end")
+        exps = exponential(steps)
+        if path is not None:
+            branch(path, exps)
+        stack.append(u)
+        for v, w in zip(stack, stack[1:]):
             parent[v] = w
             in_tree[v] = True
-        yield path, exps, kept, loops
+    return parent, erased
 
 
 def _trees(e, gen, root, n_trees):
-    """n_trees spanning trees by Wilson's algorithm (_branches): their
-    parent arrays as the rows of an int array, and the number of loops each
+    """n_trees spanning trees by Wilson's algorithm (_wilson): their parent
+    arrays as the rows of an int array, and the number of loops each
     erased."""
-    n, end, table = e.n, _root_index(e, root), _step_table(e)
+    end, table = _root_index(e, root), _step_table(e)
     # filled in place: 10^4 row arrays in a list add 1.7 MB of peak RSS
-    rows, erased = np.empty((n_trees, n), dtype=np.int64), np.zeros(n_trees, dtype=np.int64)
+    rows, erased = np.empty((n_trees, e.n), dtype=np.int64), np.zeros(n_trees, dtype=np.int64)
     for s in range(n_trees):
-        parent = [n] * n
-        erased[s] = sum(len(loops) for _, _, _, loops in _branches(gen, table, end, parent))
-        rows[s] = parent
+        rows[s], erased[s] = _wilson(gen, table, end)
     return rows, erased
 
 
@@ -628,19 +663,22 @@ def wilson_sample(e, rng, root=None):
     tree, together with the ensemble of erased loops.
 
     Transient chains are rooted at the cemetery (root=None in the tree);
-    recurrent chains need an explicit root vertex.  The branches are those
-    of _branches, whose visits get exp(1)/lambda holding times.  Erased
-    visits accumulate into the erased loops, the surviving visit of each
-    tree vertex becomes its trivial occupation.
+    recurrent chains need an explicit root vertex.  The branches are the
+    walks of _wilson, whose visits get exp(1)/lambda holding times; _erase
+    of each walk gives its erased loops, and the surviving visit of each
+    tree vertex becomes its trivial occupation.  Each walk is read as it
+    ends, so no more than one is held.
     """
-    gen = as_generator(rng)
-    n, end = e.n, _root_index(e, root)
-    lam = e.lam.tolist()
-    parent, erased, trivial = [n] * n, [], np.zeros(n)
-    for path, exps, kept, loops in _branches(gen, _step_table(e), end, parent):
+    gen, end, lam = as_generator(rng), _root_index(e, root), e.lam.tolist()
+    erased, trivial = [], np.zeros(e.n)
+
+    def branch(path, exps):
+        kept, loops = _erase(path)
         taus = [t / lam[v] for v, t in zip(path, exps.tolist())]
         for loop in loops:
             erased.append(PointedLoop(tuple([path[t] for t in loop]), tuple([taus[t] for t in loop])))
         for t in kept:
             trivial[path[t]] = taus[t]
+
+    parent, _ = _wilson(gen, _step_table(e), end, branch)
     return SpanningTree(e.vertices, np.array(parent), root), LoopEnsemble(e.vertices, 1.0, erased, trivial)

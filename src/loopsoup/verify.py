@@ -483,7 +483,8 @@ def verify_loop_erasure(e, x, y, n_samples=0, rng=0):
             residual=tv, tol=0.01,
         )
         table, nowhere = _step_table(e), [False] * e.n  # the walk ends only at the cemetery
-        hits = sum(loop_erase(_walk(gen, table, i, nowhere)[0]) == [i] for _ in range(n_samples))
+        # the erased walk is [x] exactly when the walk ends at x, its start
+        hits = sum(_walk(gen, table, i, nowhere)[0][-1] == i for _ in range(n_samples))
         freq = hits / n_samples
         se = np.sqrt(max(p_direct * (1 - p_direct), 0.0) / n_samples)  # p_direct may round above 1
         report.add_stat("P(erased walk goes straight to cemetery)", p_direct, freq, se)

@@ -5,6 +5,7 @@ seed, so the failure is the defect's, not a known false failure."""
 
 import numpy as np
 import pytest
+from test_samplers import reference_branches
 
 import loopsoup as ls
 from loopsoup import samplers
@@ -40,16 +41,25 @@ def _plant_length_law_without_1_over_k(monkeypatch):
 
 def _plant_kept_erased_loop(monkeypatch):
     """Keep the first loop that each of Wilson's branches closes in the
-    branch, instead of erasing it."""
-    erase = samplers._erase
+    branch, instead of erasing it: samplers._wilson, where the trees erase,
+    is replaced by the walk-then-erase reference with that erasure."""
 
-    def planted(path):
-        kept, loops = erase(path)
+    def erase(path):
+        kept, loops = samplers._erase(path)
         if loops:
             kept, loops = sorted(kept + loops[0]), loops[1:]
         return kept, loops
 
-    monkeypatch.setattr(samplers, "_erase", planted)
+    def planted(gen, table, end, branch=None):
+        parent = [len(table[0])] * len(table[0])
+        erased = 0
+        for path, exps, _, loops in reference_branches(gen, table, end, parent, erase):
+            erased += len(loops)
+            if branch is not None:
+                branch(path, exps)
+        return parent, erased
+
+    monkeypatch.setattr(samplers, "_wilson", planted)
 
 
 @pytest.mark.parametrize("suite, graph", [

@@ -19,7 +19,7 @@ from test_exact import _two_edges
 import loopsoup as ls
 from loopsoup import samplers
 from loopsoup.exact import _factor
-from loopsoup.graph import GraphError
+from loopsoup.graph import GraphError, _root_index
 from loopsoup.loops import PointedLoop
 from loopsoup.samplers import (
     _bridges,
@@ -340,7 +340,7 @@ def test_bridge_skips_rows_of_no_weight():
     e = _two_edges([1.0, 1.0, 1.0, 1.0])
     b = ls.sample_bridge(e, "a", "b", ls.RngStream(0))
     assert set(b.vertices) <= {0, 1} and b.vertices[-1] == 1
-    cdf, _, V, _ = _step_table(e, 1)
+    cdf, _, V = _step_table(e, 1)
     assert V[2] == V[3] == 0 and cdf[2:] == [(), ()]
     with pytest.raises(GraphError, match=r"^'c' unreachable from 'a'$"):
         ls.sample_bridge(e, "a", "c", ls.RngStream(0))
@@ -360,6 +360,20 @@ def test_bridge_fails_to_end_within_the_step_bound(monkeypatch):
         ls.sample_bridge(e, "x", "y", ls.RngStream(0))
     with pytest.raises(GraphError, match=r"^bridge failed to end$"):
         _bridges(e, 0, 1, ls.RngStream(0).generator, 3)
+
+
+def test_bridge_excursion_fails_to_end_within_the_step_bound(monkeypatch):
+    # on the path x - a - b - c - y every excursion from x to y takes at least
+    # four steps: under a bound of three the first never arrives at y
+    e = ls.load_energy_form({"vertices": ["x", "a", "b", "c", "y"],
+                             "edges": [["x", "a", 1.0], ["a", "b", 1.0], ["b", "c", 1.0], ["c", "y", 1.0]],
+                             "killing": {"y": 1.0}})
+    assert ls.sample_bridge(e, "x", "y", ls.RngStream(0)).vertices[-1] == e.index["y"]
+    monkeypatch.setattr(samplers, "MAX_STEPS", 3)
+    with pytest.raises(GraphError, match=r"^bridge failed to end$"):
+        ls.sample_bridge(e, "x", "y", ls.RngStream(0))
+    with pytest.raises(GraphError, match=r"^bridge failed to end$"):
+        _bridges(e, 0, 4, ls.RngStream(0).generator, 3)
 
 
 @pytest.mark.parametrize("name,x,y", [("p2", "x", "y"), ("k4c1", "a", "b"), ("k4c1", "c", "c"),
@@ -476,6 +490,14 @@ def _stack_erase(path):
     return stack, loops
 
 
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_erased_walk_is_its_start_exactly_when_it_ends_there(path):
+    # what lets verify_loop_erasure count straight-to-cemetery walks by
+    # their last vertex
+    assert (ls.loop_erase(path) == [path[0]]) == (path[-1] == path[0])
+
+
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=40))
 @settings(max_examples=300, deadline=None)
 def test_erase_matches_the_stack_erasure(path):
@@ -543,6 +565,57 @@ def test_tree_rows_are_the_trees_of_wilson_sample(name, root):
     assert gen.random() == ref.random()  # the same number of draws
 
 
+def reference_branches(gen, table, end, parent, erase=_erase):
+    """Wilson's algorithm for one tree, each walk erased after it ends: the
+    reference for _wilson, which erases as it walks.  In the list parent of
+    n entries, each branch is a _walk from the least vertex not yet in the
+    tree until it enters the tree (the index end at first) or the cemetery,
+    then one standard_exponential draw for its visits, then erase of the
+    whole path.  Each kept visit sets parent[v] to the next kept index, n at
+    the cemetery.  Yields each branch as (path, exponentials, kept
+    positions, erased loops) once parent holds it."""
+    n = len(parent)
+    in_tree = [v == end for v in range(n)]
+    for start in range(n):
+        if in_tree[start]:
+            continue
+        path, nxt = _walk(gen, table, start, in_tree)
+        exps = gen.standard_exponential(len(path))
+        kept, loops = erase(path)
+        branch = [path[t] for t in kept] + [nxt]  # ends in the tree or at the cemetery n
+        for v, w in zip(branch, branch[1:]):
+            parent[v] = w
+            in_tree[v] = True
+        yield path, exps, kept, loops
+
+
+_WILSON_CASES = [(name, root) for name in sorted(ls.FIXTURES)
+                 for e in [_form(name)] for root in ([None] if e.transient else e.vertices)]
+
+
+@pytest.mark.parametrize("name,root", _WILSON_CASES + [((8, 1), None), ((16, 2), None)], ids=str)
+def test_wilson_matches_the_walk_then_erase_reference(name, root):
+    e = _form(name)
+    end, table = _root_index(e, root), _step_table(e)
+    gen, ref = ls.RngStream(6).generator, ls.RngStream(6).generator
+    rows, erased = _trees(e, gen, root, 20)
+    for row, count in zip(rows.tolist(), erased.tolist()):
+        parent = [e.n] * e.n
+        assert count == sum(len(loops) for *_, loops in reference_branches(ref, table, end, parent))
+        assert row == parent
+    for _ in range(20):
+        tree, ens = ls.wilson_sample(e, gen, root=root)
+        parent, loops, trivial = [e.n] * e.n, [], np.zeros(e.n)
+        for path, exps, kept, erased_at in reference_branches(ref, table, end, parent):
+            taus = exps / e.lam[path]
+            loops += [(tuple(path[t] for t in loop), tuple(taus[loop].tolist())) for loop in erased_at]
+            trivial[np.array(path)[kept]] = taus[kept]
+        assert tree.parent_index.tolist() == parent
+        assert [(loop.vertices, loop.taus) for loop in ens.loops] == loops
+        assert ens.trivial.tobytes() == trivial.tobytes()
+    assert gen.random() == ref.random()  # the same number of draws
+
+
 def test_wilson_step_table_built_once_per_form(k4c1):
     # the walk table, and a bridge table per target
     for target in (None, 1):
@@ -566,8 +639,8 @@ def _dense_walk_rows(e):
     ids=[*sorted(ls.FIXTURES), "box7", "box16", "underflow"],
 )
 def test_walk_table_from_the_nonzeros_matches_the_dense_rows(e):
-    cdf, column, V, stop = _step_table(e)
-    assert (cdf, column) == _dense_walk_rows(e) and V is None and stop is None
+    cdf, column, V = _step_table(e)
+    assert (cdf, column) == _dense_walk_rows(e) and V is None
 
 
 def test_factor_field_and_tree_allocate_no_dense_matrix():

@@ -1,11 +1,13 @@
-"""Time the banded Cholesky factor and the Green function on killed L x L
-boxes.
+"""Time the banded Cholesky factor, the Green function and a Wilson tree on
+killed L x L boxes.
 
 Each box is perfbench/inputs.py's, drawn from default_rng([1, L]).  For
 each it prints n, the half-bandwidth b, the size of the factor's
 (b + 1) x n band in MB (2^20 bytes), the number of row blocks green()
 works in, the time of exact._factor (once, on a fresh form), the best of
-three calls of green(), and max |L G - I| with L the energy matrix.
+three calls of green(), max |L G - I| with L the energy matrix, and the
+best of three calls of wilson_sample() at one seed (the first also builds
+the form's step table).
 
     python3 tools/green_scale.py [L ...]
 
@@ -44,7 +46,8 @@ def residual(e, G, cols=512):
 
 def main(argv):
     sizes = [int(arg) for arg in argv[1:]] or [16, 32, 48, 64]
-    print(f"{'L':>3} {'n':>5} {'b':>3} {'band_mb':>7} {'blocks':>6} {'factor_s':>9} {'green_s':>8} {'|LG-I|':>8}")
+    print(f"{'L':>3} {'n':>5} {'b':>3} {'band_mb':>7} {'blocks':>6} {'factor_s':>9} {'green_s':>8} {'|LG-I|':>8} "
+          f"{'tree_s':>7}")
     for L in sizes:
         e = ls.load_energy_form(inputs.killed_box(L, np.random.default_rng([1, L])))
         t0 = time.perf_counter()
@@ -56,8 +59,13 @@ def main(argv):
             G = ls.green(e).G
             green_s.append(time.perf_counter() - t0)
         blocks = -(-e.n // _block_rows(e))
+        tree_s = []
+        for _ in range(3):  # one seed: the tree, and so the work, is the same each time
+            t0 = time.perf_counter()
+            ls.wilson_sample(e, ls.RngStream(0))
+            tree_s.append(time.perf_counter() - t0)
         print(f"{L:3} {e.n:5} {_bandwidth(e):3} {band_mb:7.2f} {blocks:6} {factor_s:9.4f} {min(green_s):8.4f} "
-              f"{residual(e, G):8.1e}")
+              f"{residual(e, G):8.1e} {min(tree_s):7.4f}")
 
 
 if __name__ == "__main__":
