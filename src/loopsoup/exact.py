@@ -11,27 +11,38 @@ comes from that chain's factor.
 
 R vanishes more than the half-bandwidth b below its diagonal (a killed
 L x L box numbered row by row has b = L), so _factor keeps only its band:
-LAPACK dpbtrf factors the (b + 1) x n band of M_lambda - C, built from the
-form's nonzero pattern, in O(n b^2) work, and no n x n factor is formed.
-log det G is read from the band's first row, R's diagonal.  green() works
-along the band: cut into blocks of rows at least as tall as the band is
-wide, R is block lower-bidiagonal, and G follows block row by block row
-from the last one, in O(n^2 b) work.  A form of at most 32 vertices, or
-one whose band fills its matrix, is a single block: its G is LAPACK potri
-of R.
+_band_factor builds the (b + 1) x n band of M_lambda - C from the form's
+nonzero pattern and LAPACK dpbtrf factors it, in O(n b^2) work, and no
+n x n factor is formed.  log det G is read from the band's first row, R's
+diagonal.  green() works along the band (_green_band): cut into blocks of
+rows at least as tall as the band is wide, R is block lower-bidiagonal, and
+G follows block row by block row from the last one, in O(n^2 b) work.  A
+form of at most 32 vertices, or one whose band fills its matrix, is a
+single block: its G is LAPACK potri of R.
 
-Every determinant here is real and positive, so _logdet_posdef is the one
-log-determinant.  For a transient chain and an antisymmetric one-form
-omega, A = M_lambda - C e^{i omega} is Hermitian, and |x* (C e^{i omega}) x|
+For a transient chain and an antisymmetric one-form omega,
+A = M_lambda - C e^{i omega} is Hermitian, and |x* (C e^{i omega}) x|
 <= |x|^T C |x| gives x* A x >= |x|^T (M_lambda - C) |x| > 0: A is positive
-definite, so log det A is real and has no branch to track.
+definite, so log det A is real and has no branch to track.  A has the
+form's nonzero pattern, so the same band serves it: _band_factor factors
+its complex band by zpbtrf (once per call, as A depends on omega),
+twisted_green runs _green_band on that band, and log Z = -log det A is read
+from its diagonal, as is log Z of partition_ratio.
+
+The other determinants here are real and positive, and _logdet_posdef
+takes them by dense LU (slogdet): those of small matrices, and two that
+verify_energy_variation differences.  loops.mu_nontrivial_total keeps the
+LU log-det of the energy matrix, since the band's log-det moves that
+suite's central difference in kappa_x past its 1e-12 Richardson check, and
+the suite's Schwinger second difference takes the LU log-det of
+M_lambda - C + s 1_x + t 1_y in the same way.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpbtrf, dpotri
+from scipy.linalg import get_lapack_funcs
+from scipy.linalg.lapack import dpbtrf, zpbtrf
 
 from .graph import EnergyForm, GraphError, _root_index, per_form, restrict
 
@@ -78,46 +89,60 @@ class TransferMatrix:
 
 
 def _logdet_posdef(A):
-    """log det A of a real or Hermitian matrix (or of each of a stack) whose
-    determinant must be real and positive; GraphError otherwise."""
+    """log det A of a real matrix (or of each of a stack) by LU, whose
+    determinant must be positive; GraphError otherwise."""
     with np.errstate(invalid="ignore"):
         sign, logdet = np.linalg.slogdet(A)
-    # a NaN sign or log-det fails this test; rounding leaves the sign of a
-    # Hermitian positive definite matrix within 1e-8 of 1
-    if not np.all((abs(sign - 1) < 1e-8) & np.isfinite(logdet)):
+    # a NaN sign or log-det fails this test; a real matrix's sign is exactly 1, -1 or 0
+    if not np.all((sign == 1) & np.isfinite(logdet)):
         raise GraphError("matrix is numerically singular or not positive definite")
     return logdet
 
 
-@per_form
-def _factor(e):
-    """Read-only lower Cholesky factor R R^T = M_lambda - C of a transient
-    form in LAPACK band storage, taken once per form by dpbtrf: the
+def _band_factor(e, omega=None):
+    """Lower Cholesky factor R R^H = A of the energy matrix A = M_lambda - C
+    of a transient form, or of the twisted A = M_lambda - C e^{i omega} given
+    an antisymmetric n x n one-form omega, in LAPACK band storage: the
     (b + 1) x n array ab, b = _bandwidth(e), with ab[i - j, j] = R_ij, so
-    ab[0] is the diagonal of R.  The band of M_lambda - C is built from the
-    form's nonzero pattern and lambda; no n x n array is formed.
-    GraphError if there is no factor or it is not finite."""
+    ab[0] is the diagonal of R.  The band of A is built from the form's
+    nonzero pattern and lambda, and factored by dpbtrf (real) or zpbtrf
+    (Hermitian); no n x n array is formed.  GraphError if there is no
+    factor or it is not finite."""
     if not e.transient:
         raise GraphError("Green function requires a transient chain (some killing)")
     rows, cols = e.nonzero
     lower = rows > cols
     rows, cols = rows[lower], cols[lower]
-    ab = np.zeros((_bandwidth(e) + 1, e.n), order="F")  # Fortran order: dpbtrf factors it in place
+    off = -e.C[rows, cols] if omega is None else -e.C[rows, cols] * np.exp(1j * omega[rows, cols])
+    ab = np.zeros((_bandwidth(e) + 1, e.n), off.dtype, order="F")  # Fortran order: pbtrf factors it in place
     ab[0] = e.lam
-    ab[rows - cols, cols] = -e.C[rows, cols]
-    ab, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    ab[rows - cols, cols] = off
+    ab, info = (dpbtrf if omega is None else zpbtrf)(ab, lower=1, overwrite_ab=1)
     if info > 0:
         raise GraphError("energy matrix is not numerically positive definite: some component is never killed")
-    # a NaN or inf in row i of R reaches R_ii = sqrt(A_ii - sum_j R_ij^2)
+    # a NaN or inf in row i of R reaches R_ii = sqrt(A_ii - sum_j |R_ij|^2)
     if not np.isfinite(ab[0]).all():
         raise GraphError("energy matrix is not finite")
+    return ab
+
+
+@per_form
+def _factor(e):
+    """The read-only real band factor _band_factor(e), taken once per form."""
+    ab = _band_factor(e)
     ab.setflags(write=False)
     return ab
 
 
+def _logdet_inverse(ab):
+    """log det A^{-1} = -2 sum log R_ii of A = R R^H, from the diagonal of
+    its band factor ab alone."""
+    return -2.0 * float(np.log(ab[0].real).sum())
+
+
 def _logdet_green(e):
-    """log det G = -2 sum log R_ii, from the diagonal of the factor alone."""
-    return -2.0 * float(np.log(_factor(e)[0]).sum())
+    """log det G, from the form's factor."""
+    return _logdet_inverse(_factor(e))
 
 
 @per_form
@@ -130,10 +155,18 @@ def _bandwidth(e):
 
 
 def _band_block(ab, a, c, d):
-    """R[a:d, a:c] as a dense array, read from the band ab of _factor:
-    green()'s diagonal block D_k = R[a:c, a:c] over E_{k+1} = R[c:d, a:c]."""
-    k = np.arange(a, d)[:, None] - np.arange(a, c)  # i - j
-    return np.where((k >= 0) & (k < len(ab)), ab[k.clip(0, len(ab) - 1), np.arange(a, c)], 0.0)
+    """R[a:d, a:c] as a dense array, read from a band ab of _band_factor:
+    green()'s diagonal block D_k = R[a:c, a:c] over E_{k+1} = R[c:d, a:c].
+    Column j of R[a:, a:c] is ab[:, a + j] shifted down j rows, so the band's
+    columns are written as the rows of a buffer one entry wider than the
+    block is tall, which read at the block's own width is R[a:d, a:c]^T.  The
+    entries this pushes past row d - a are the band's unused trailing ones,
+    zero, and land above R's diagonal or outside the block."""
+    m, w = c - a, d - a
+    band = ab[: w + 1, a:c]
+    flat = np.zeros(m * (w + 1), ab.dtype)
+    flat.reshape(m, w + 1)[:, : len(band)] = band.T
+    return flat[: m * w].reshape(m, w).T
 
 
 def _block_rows(e):
@@ -141,48 +174,61 @@ def _block_rows(e):
     return max(_bandwidth(e) + 1, 32)
 
 
-def green(e):
-    """Green function G = (M_lambda - C)^{-1} of a transient chain, from its
-    Cholesky factor R by block back-substitution along the band; log det G
-    is _logdet_green.  The caller owns G.
+def _green_band(e, ab):
+    """A^{-1} of the real or Hermitian energy matrix A = R R^H of the form e,
+    by block back-substitution along the band ab = R of _band_factor.
 
     The rows are cut into blocks of s = _block_rows(e) = max(b + 1, 32),
     b = _bandwidth(e).  R vanishes more than b below its diagonal and
     s >= b, so R is block lower-bidiagonal: D_k = R[k,k], E_k = R[k,k-1]
-    and zero blocks elsewhere.  R^T G = R^{-1} is lower triangular with
+    and zero blocks elsewhere.  R^H G = R^{-1} is lower triangular with
     diagonal blocks D_k^{-1}, so its block row k gives, from the last block
-    up and with W = D_k^{-T} E_{k+1}^T,
+    up and with W = D_k^{-H} E_{k+1}^H,
 
-        G[k,>k] = -W G[k+1,>k],    G[k,k] = potri(D_k) + W G[k+1,k+1] W^T,
+        G[k,>k] = -W G[k+1,>k],    G[k,k] = potri(D_k) + W G[k+1,k+1] W^H,
 
-    where potri(D) = (D D^T)^{-1}.  G[k,>k] is copied into G[>k,k], and the
-    lower triangle of G[k,k] into its upper one, so G is exactly symmetric.
-    The work is O(n^2 s), against O(n^3) for potri of R.  D_k and E_{k+1}
-    are read from the band of R by _band_block.  A form with n <= s (every
-    form of at most 32 vertices, and any whose band fills the matrix) is one
-    block, and its G is LAPACK potri of R itself.
+    where potri(D) = (D D^H)^{-1}; the recurrence reads G only on and above
+    its diagonal blocks.  The lower triangle of G[k,k] is copied into its
+    upper one with its diagonal made real, and after the last block each
+    G[k,>k] into G[>k,k], so G is exactly Hermitian.  The work is O(n^2 s),
+    against O(n^3) for potri of R.  D_k and E_{k+1} are read from the band by
+    _band_block.  LAPACK potri and trtrs are taken for the band's dtype and
+    called on upper factors, potri on D_k^H and trtrs on D_k^T (it solves
+    D_k^T conj(W) = E_{k+1}^T): the order in which a real G's bits are
+    pinned.  A form with n <= s (every form of at most 32 vertices, and any
+    whose band fills the matrix) is one block, and its G is LAPACK potri of
+    R itself.
     """
-    ab = _factor(e)
     n = e.n
     s = _block_rows(e)
-    G = np.empty((n, n)) if n > s else None
+    potri, trtrs = get_lapack_funcs(("potri", "trtrs"), (ab,))
+    G = np.empty((n, n), ab.dtype) if n > s else None
     for a in range(s * ((n - 1) // s), -1, -s):
         c, d = min(a + s, n), min(a + 2 * s, n)
-        B = _band_block(ab, a, c, d)
-        D = B[: c - a]
-        Gkk = dpotri(D.T)[0].T  # potri on the upper factor D_k^T: lower triangle set
+        Bt = _band_block(ab, a, c, d).T  # [D_k^T, E_{k+1}^T]
+        Gkk = potri(Bt[:, : c - a].conj())[0].T.conj()  # potri on the upper factor D_k^H: lower triangle set
         if c < n:
-            W = solve_triangular(D, B[c - a :].T, trans="T", lower=True)
+            W = trtrs(Bt[:, : c - a], Bt[:, c - a :])[0].conj()
             WG = W @ G[c:d, c:]
-            G[a:c, c:] = -WG
-            G[c:, a:c] = G[a:c, c:].T
-            Gkk += WG[:, : d - c] @ W.T
-        for j in range(c - a - 1):  # mirror the lower triangle, so G[k,k] is exactly symmetric
-            Gkk[j, j + 1 :] = Gkk[j + 1 :, j]
+            np.negative(WG, out=G[a:c, c:])
+            Gkk += WG[:, : d - c] @ W.conj().T
+        i, j = np.tril_indices(c - a, -1)
+        Gkk[j, i] = Gkk[i, j].conj()
+        np.fill_diagonal(Gkk, Gkk.diagonal().real)
         if G is None:  # one block: G is potri's own output
             G = Gkk
         else:
             G[a:c, a:c] = Gkk
+    for a in range(0, n - s, s):
+        G[a + s :, a : a + s] = G[a : a + s, a + s :].conj().T
+    return G
+
+
+def green(e):
+    """Green function G = (M_lambda - C)^{-1} of a transient chain, from its
+    memoised Cholesky factor R by _green_band; log det G is _logdet_green.
+    The caller owns G."""
+    G = _green_band(e, _factor(e))
     logdet_G = _logdet_green(e)
     # log det(I-P) = log det(M_lambda - C) - sum log lambda
     logdet_IminusP = -logdet_G - float(np.log(e.lam).sum())
@@ -313,36 +359,29 @@ def _omega_matrix(e, omega):
     return W
 
 
-def _twisted_matrix(e, omega):
-    """A = M_lambda - C e^{i omega} of a transient chain and a one-form."""
-    if not e.transient:
-        raise GraphError("twisted Green function requires a transient chain")
-    return np.diag(e.lam) - e.C * np.exp(1j * _omega_matrix(e, omega))
-
-
 def twisted_green(e, omega):
     """Green function twisted by a one-form, and log Z.
 
     G^{(omega)} = A^{-1} with A = M_lambda - C e^{i omega}, and
     log Z = -log det A = log(Z_{e,omega}).  A is Hermitian and positive
     definite (see the module docstring), so log Z is real: a loop and its
-    reversal carry the same mass and opposite holonomy.
+    reversal carry the same mass and opposite holonomy.  Both come from one
+    band factor R R^H = A: G^{(omega)} by _green_band and
+    log Z = -2 sum log R_ii.
     """
-    A = _twisted_matrix(e, omega)
-    return np.linalg.inv(A), complex(-_logdet_posdef(A))
+    ab = _band_factor(e, _omega_matrix(e, omega))
+    return _green_band(e, ab), complex(_logdet_inverse(ab))
 
 
 def partition_ratio(e, e2, omega=None, alpha=1.0):
     """(Z_{e2,omega} / Z_e)^alpha, real and positive: both partition
-    functions are positive determinants (see the module docstring)."""
+    functions are positive determinants (see the module docstring), read
+    from the diagonals of the twisted band factor of e2 and of e's factor."""
     if e.vertices != e2.vertices:
         raise GraphError("energy forms must share the vertex set")
     if np.any((e2.C > 0) & (e.C == 0)):
         raise GraphError("conductance support of e2 must lie inside that of e")
     if not np.isfinite(alpha):
         raise GraphError("alpha must be finite")
-    if omega is None:
-        omega = np.zeros((e.n, e.n))
-    log_Z2 = complex(-_logdet_posdef(_twisted_matrix(e2, omega)))
-    log_Z1 = -_logdet_posdef(e.laplacian())
-    return complex(np.exp(alpha * (log_Z2 - log_Z1)))
+    ab = _band_factor(e2, _omega_matrix(e, {} if omega is None else omega))
+    return complex(np.exp(alpha * (_logdet_inverse(ab) - _logdet_green(e))))

@@ -67,3 +67,19 @@ def killed_box(L, seed):
     for side in (exits[0], exits[-1], exits[:, 0], exits[:, -1]):
         side += rng.uniform(0.5, 1.5, size=L)
     return ls.EnergyForm([str(i) for i in range(L * L)], C, exits.ravel())
+
+
+def shuffled_box(L, seed):
+    """killed_box(L, seed) with its vertices shuffled, and the neighbours 0
+    and 1 put first and last: the half-bandwidth is n - 1."""
+    e = killed_box(L, seed)
+    rest = np.random.default_rng(seed).permutation(np.arange(2, e.n))
+    order = np.concatenate(([0], rest, [1]))
+    return ls.EnergyForm([e.vertices[i] for i in order], e.C[np.ix_(order, order)], e.kappa[order])
+
+
+def edge_one_form(e, seed):
+    """A seeded antisymmetric one-form, uniform on [-pi, pi] on each edge
+    of e and zero off them."""
+    W = np.triu(np.random.default_rng(seed).uniform(-np.pi, np.pi, (e.n, e.n)), 1) * (e.C > 0)
+    return W - W.T

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 from scipy.linalg.lapack import dpotri
 
 import loopsoup as ls
-from loopsoup.exact import _band_block, _bandwidth, _factor, _logdet_posdef, _omega_matrix, hitting_kernel
+from loopsoup import exact
+from loopsoup.exact import _band_block, _bandwidth, _block_rows, _factor, _logdet_posdef, _omega_matrix, hitting_kernel
 from loopsoup.graph import GraphError
 from loopsoup.verify import enumerate_spanning_trees
 
-from conftest import killed_box, random_energy_form
+from conftest import edge_one_form, killed_box, random_energy_form, shuffled_box
 
 
 def test_green_p2(p2):
@@ -62,15 +63,6 @@ def test_banded_factor_matches_dense_cholesky(L):
 _TRANSIENT_FIXTURES = sorted(
     name for name in ls.FIXTURES if ls.load_energy_form(ls.fixture(name)).transient
 )
-
-
-def shuffled_box(L, seed):
-    """killed_box(L, seed) with its vertices shuffled, and the neighbours 0
-    and 1 put first and last: the half-bandwidth is n - 1."""
-    e = killed_box(L, seed)
-    rest = np.random.default_rng(seed).permutation(np.arange(2, e.n))
-    order = np.concatenate(([0], rest, [1]))
-    return ls.EnergyForm([e.vertices[i] for i in order], e.C[np.ix_(order, order)], e.kappa[order])
 
 
 def _potri_green(e):
@@ -365,6 +357,75 @@ def test_twisted_log_z_matches_loop_enumeration(k4c1):
     _, log_Z = ls.twisted_green(k4c1, omega)
     assert log_Z.imag == 0
     assert abs(total - (log_Z - ls.green(k4c1).logdet_G)) <= 2 * tail
+
+
+# killed boxes of 2, 5 and 13 blocks of rows, and 33 blocks, the last one a
+# single row
+_MULTI_BLOCK_BOXES = [(8, 8), (12, 12), (20, 1), (33, 5)]
+
+
+def _twisted_matrix(e, W):
+    return np.diag(e.lam) - e.C * np.exp(1j * W)
+
+
+@pytest.mark.parametrize("L, seed", _MULTI_BLOCK_BOXES)
+def test_multi_block_twisted_green(L, seed):
+    e = killed_box(L, seed)
+    assert e.n > _block_rows(e)
+    W = edge_one_form(e, seed)
+    G, log_Z = ls.twisted_green(e, W)
+    assert np.array_equal(G, G.conj().T) and not G.diagonal().imag.any()
+    A = _twisted_matrix(e, W)
+    sign, logdet = np.linalg.slogdet(A)
+    assert abs(sign - 1) < 1e-12 and log_Z.imag == 0
+    assert abs(log_Z.real + logdet) <= 1e-12 * abs(logdet)
+    if e.n <= 400:  # a dense product at n = 1089 takes seconds
+        assert np.abs(A @ G - np.eye(e.n)).max() <= 1e-13
+    # with omega = 0 the twisted recurrence is green's, on a complex band
+    G0, log_Z0 = ls.twisted_green(e, np.zeros((e.n, e.n)))
+    b = ls.green(e)
+    assert np.abs(G0 - b.G).max() <= 1e-13 * np.abs(b.G).max()
+    assert abs(log_Z0.real - b.logdet_G) <= 1e-12 * abs(b.logdet_G)
+
+
+@pytest.mark.parametrize("L, seed", _MULTI_BLOCK_BOXES[:3])
+def test_multi_block_partition_ratio_matches_dense_lu(L, seed):
+    e = killed_box(L, seed)
+    e2 = ls.EnergyForm(e.vertices, 0.7 * e.C, e.kappa + 0.1)
+    W, alpha = edge_one_form(e, seed + 1), 1.3
+    ratio = ls.partition_ratio(e, e2, W, alpha)
+    logdet2 = np.linalg.slogdet(_twisted_matrix(e2, W))[1]
+    logdet1 = np.linalg.slogdet(e.laplacian())[1]
+    assert ratio.imag == 0
+    assert abs(np.log(ratio.real) - alpha * (logdet1 - logdet2)) <= 1e-12 * alpha * (abs(logdet1) + abs(logdet2))
+
+
+def test_twisted_values_take_band_factors_only(monkeypatch):
+    # twisted_green takes one complex band factor; partition_ratio one
+    # complex factor of e2 and e's memoised real factor; neither forms a
+    # dense energy matrix or calls a dense LU or inverse
+    calls = []
+    for name in ("dpbtrf", "zpbtrf"):
+        def counted(ab, _name=name, _pbtrf=getattr(exact, name), **kw):
+            calls.append((_name, ab.shape))
+            return _pbtrf(ab, **kw)
+
+        monkeypatch.setattr(exact, name, counted)
+
+    def dense(*args, **kw):
+        raise AssertionError("dense call")
+
+    monkeypatch.setattr(np.linalg, "inv", dense)
+    monkeypatch.setattr(np.linalg, "slogdet", dense)
+    monkeypatch.setattr(ls.EnergyForm, "laplacian", dense)
+    e = killed_box(8, 8)
+    e2 = ls.EnergyForm(e.vertices, 0.7 * e.C, e.kappa + 0.1)
+    W = edge_one_form(e, 8)
+    ls.twisted_green(e, W)
+    assert calls == [("zpbtrf", (9, 64))]
+    ls.partition_ratio(e, e2, W)
+    ls.partition_ratio(e, e2, W)
+    assert calls == [("zpbtrf", (9, 64))] + [("zpbtrf", (9, 64)), ("dpbtrf", (9, 64)), ("zpbtrf", (9, 64))]
 
 
 # Reference implementations: each Green function of a derived chain as a

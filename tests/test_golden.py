@@ -17,6 +17,8 @@ import pytest
 import loopsoup as ls
 from loopsoup.cli import main
 
+from conftest import killed_box, shuffled_box
+
 
 def _form(name):
     return ls.load_energy_form(ls.fixture(name))
@@ -198,3 +200,22 @@ def test_golden_cli_wilson(tmp_path, capsys):
     argv = ["wilson", str(tmp_path / "k4_rooted.json"), "--root", "a", "-n", "5", "--seed", "3", "--json"]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLI_WILSON_K4_ROOTED
+
+
+# green(e) on killed boxes of 2 to 33 blocks of rows, and on a shuffled box
+# whose band fills its matrix (one block): SHA-256 of G.tobytes() and
+# logdet_G.hex().  test_exact.py pins every one-block G against potri; the
+# boxes pin the block recurrence itself.
+GREEN_MULTI_BLOCK = {
+    ("killed_box", 8, 8): ("0ea641adeb86d23a7ae2e3a8f330d5f92dcdad3a16bbd758dd22c0ef40200ac1", "-0x1.2bc0c548ff734p+6"),
+    ("killed_box", 12, 12): ("526ceeb05f640d21326c2808ba99bc4c3eb1469b48c51339c7bc661c585f20e7", "-0x1.5720a3ead03d8p+7"),
+    ("killed_box", 20, 1): ("a8da2425ed13fe92f69aeae979a25aebe50ccf7436090c6de7222bf4a1945b85", "-0x1.d49f4a7318baap+8"),
+    ("killed_box", 33, 5): ("fbb881d6f208ca6012de64c0d43ad9ac871cd11af59bde93a3662b3943f099b8", "-0x1.39b36a1c2b849p+10"),
+    ("shuffled_box", 7, 3): ("3d28ff6369088cadbf00ea0aef2758c74865f4594020df6b4f698b97078bd331", "-0x1.dc9ebb3f6b827p+5"),
+}
+
+
+@pytest.mark.parametrize("kind, L, seed", sorted(GREEN_MULTI_BLOCK))
+def test_golden_green(kind, L, seed):
+    b = ls.green({"killed_box": killed_box, "shuffled_box": shuffled_box}[kind](L, seed))
+    assert (hashlib.sha256(b.G.tobytes()).hexdigest(), b.logdet_G.hex()) == GREEN_MULTI_BLOCK[kind, L, seed]

@@ -660,16 +660,22 @@ def test_factor_field_and_tree_allocate_no_dense_matrix():
 # document argv[1], printed as JSON
 _THREAD_DIGESTS = """
 import hashlib, json, sys
+import numpy as np
 import loopsoup as ls
 e = ls.load_energy_form(sys.argv[1])
 digest = lambda *parts: hashlib.sha256(repr(parts).encode()).hexdigest()
 bridge = ls.sample_bridge(e, e.vertices[0], e.vertices[-1], ls.RngStream(2))
 tree, ens = ls.wilson_sample(e, ls.RngStream(3))
+W = np.triu(np.random.default_rng(4).uniform(-np.pi, np.pi, (e.n, e.n)), 1) * (e.C > 0)
+W -= W.T
+e2 = ls.EnergyForm(e.vertices, 0.7 * e.C, e.kappa + 0.1)
 print(json.dumps({
     "field": digest(ls.sample_gff(e, ls.RngStream(1)).phi.tolist()),
     "bridge": digest(bridge.vertices, bridge.taus),
     "tree": digest(tree.parent_index.tolist(), [(l.vertices, l.taus) for l in ens.loops], ens.trivial.tolist()),
     "logdet_G": digest(ls.green(e).logdet_G),
+    "twisted_log_Z": digest(ls.twisted_green(e, W)[1]),
+    "partition_ratio": digest(ls.partition_ratio(e, e2, W)),
 }))
 """
 
