@@ -203,16 +203,17 @@ def _green_band(e, ab):
     s = _block_rows(e)
     potri, trtrs = get_lapack_funcs(("potri", "trtrs"), (ab,))
     G = np.empty((n, n), ab.dtype) if n > s else None
+    tril = np.tril_indices(s, -1)  # a full block's strict lower triangle
     for a in range(s * ((n - 1) // s), -1, -s):
         c, d = min(a + s, n), min(a + 2 * s, n)
         Bt = _band_block(ab, a, c, d).T  # [D_k^T, E_{k+1}^T]
         Gkk = potri(Bt[:, : c - a].conj())[0].T.conj()  # potri on the upper factor D_k^H: lower triangle set
         if c < n:
             W = trtrs(Bt[:, : c - a], Bt[:, c - a :])[0].conj()
-            WG = W @ G[c:d, c:]
-            np.negative(WG, out=G[a:c, c:])
+            WG = np.matmul(W, G[c:d, c:], out=G[a:c, c:])  # W G[k+1,>k], negated once G[k,k] has read it
             Gkk += WG[:, : d - c] @ W.conj().T
-        i, j = np.tril_indices(c - a, -1)
+            np.negative(WG, out=WG)
+        i, j = tril if c - a == s else np.tril_indices(c - a, -1)  # the last block may be short
         Gkk[j, i] = Gkk[i, j].conj()
         np.fill_diagonal(Gkk, Gkk.diagonal().real)
         if G is None:  # one block: G is potri's own output

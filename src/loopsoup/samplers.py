@@ -32,16 +32,18 @@ the verify suites and the CLI: PointedLoopSampler._steps draws a loop's
 vertices (sample adds its holding times), _bridges draws n bridges
 (sample_bridge is n = 1), and _wilson runs Wilson's algorithm for one
 tree, erasing each branch's loops as it walks, on a stack of vertices
-(_trees keeps the parent arrays of n trees; wilson_sample asks for each
-branch's walk and takes its erased loops from _erase).  Every walk that
+(_trees keeps the parent arrays of n trees; for wilson_sample it also
+records each position walked and, on a stack of positions beside the
+vertex stack, the positions of each loop it erases).  Every walk that
 must end, in these cores and in _walk (a walk to a flagged vertex or the
 cemetery, which verify_loop_erasure takes), ends within MAX_STEPS steps
 or raises GraphError.  A batch writes its chains into flat array("q")
 and array("d") buffers (trees into the rows of one int array), never one
 object per sample, and makes each draw the one-sample API makes, in the
-same order, so it draws the same streams.  The holding times of loops and
-bridges are one division of the buffers, exps / lambda[vertex], the IEEE
-division that each position drawn alone makes.
+same order, so it draws the same streams.  The holding times of loops,
+bridges and Wilson's walks are one division of the buffers,
+exps / lambda[vertex], the IEEE division that each position drawn alone
+makes.
 
 The free field needs no Green matrix: with M_lambda - C = R R^T (Cholesky),
 phi = R^{-T} z for z standard normal has covariance
@@ -567,21 +569,6 @@ def wick_power(gxx, value, n):
     return gxx ** (n / 2.0) * eval_hermitenorm(n, np.asarray(value) / s)
 
 
-def _erase(path):
-    """Progressive loop erasure by position: the positions the self-avoiding
-    path keeps (a revisit keeps the later visit), and the positions of each
-    erased loop, in the order the loops close."""
-    kept, at, loops = [], {}, []
-    for t, v in enumerate(path):
-        i = at.get(v, len(kept))
-        if i < len(kept) and path[kept[i]] == v:  # else v is new, or erased since
-            loops.append(kept[i:])
-            del kept[i:]
-        at[v] = len(kept)
-        kept.append(t)
-    return kept, loops
-
-
 def loop_erase(path):
     """Self-avoiding path left by progressive loop erasure of a path: its
     vertices on a stack, cut back to a vertex the path revisits while it is
@@ -597,7 +584,7 @@ def loop_erase(path):
     return kept
 
 
-def _wilson(gen, table, end, branch=None):
+def _wilson(gen, table, end, walks=None):
     """Wilson's algorithm for one spanning tree on the _step_table table,
     rooted at the index end (n, the cemetery, on a transient chain): its
     parent list of n entries, n at the cemetery and at end, and the number
@@ -609,18 +596,31 @@ def _wilson(gen, table, end, branch=None):
     a step onto a stacked vertex pops the stack back to that vertex, one
     erased loop.  Then one standard_exponential draw, one value per
     position walked, and each stacked vertex gets the next as its parent.
-    If branch is given, it is called with each branch's (path,
-    exponentials) before the next branch starts, path every index walked.
-    GraphError if a branch has not ended after MAX_STEPS steps."""
+    GraphError if a branch has not ended after MAX_STEPS steps.
+
+    walks, if given, is five flat buffers that the branches extend as they
+    erase: array("q") vertex and array("d") exps, each position walked (the
+    tree or cemetery index that ends a branch is no position), in walk
+    order; array("q") kept, the positions each branch keeps; array("q")
+    loops, the positions of each erased loop, in the order the loops
+    close; and array("q") ends, where each loop ends in loops.  A stack of
+    positions runs beside the vertex stack: a loop is the positions stacked
+    from the revisited vertex's up, and the revisit takes that vertex's
+    place."""
     cdf, column, random, exponential = table[0], table[1], gen.random, gen.standard_exponential
     n, erased = len(cdf), 0
     parent, in_tree, on_path = [n] * n, [False] * (n + 1), [False] * n
     in_tree[n] = in_tree[end] = True  # the cemetery ends every walk that reaches it
+    if walks:
+        vertex, exps, kept, loops, ends = walks
     for start in range(n):
         if in_tree[start]:
             continue
-        u, stack, path = start, [start], None if branch is None else [start]
+        u, stack = start, [start]
         on_path[start] = True
+        if walks:
+            base, at = len(vertex), [len(vertex)]
+            vertex.append(start)
         for steps in range(1, MAX_STEPS + 1):
             u = column[u][bisect_right(cdf[u], random())]
             if in_tree[u]:
@@ -629,16 +629,23 @@ def _wilson(gen, table, end, branch=None):
                 erased += 1
                 while stack[-1] != u:
                     on_path[stack.pop()] = False
+                if walks:
+                    loops.extend(at[len(stack) - 1 :])  # u's position up: one loop
+                    ends.append(len(loops))
+                    at[len(stack) - 1 :] = [base + steps]
+                    vertex.append(u)
             else:
                 on_path[u] = True
                 stack.append(u)
-            if path is not None:
-                path.append(u)
+                if walks:
+                    at.append(base + steps)
+                    vertex.append(u)
         else:
             raise GraphError("walk failed to end")
-        exps = exponential(steps)
-        if path is not None:
-            branch(path, exps)
+        draws = exponential(steps)
+        if walks:
+            exps.frombytes(draws.tobytes())
+            kept.extend(at)
         stack.append(u)
         for v, w in zip(stack, stack[1:]):
             parent[v] = w
@@ -663,22 +670,18 @@ def wilson_sample(e, rng, root=None):
     tree, together with the ensemble of erased loops.
 
     Transient chains are rooted at the cemetery (root=None in the tree);
-    recurrent chains need an explicit root vertex.  The branches are the
-    walks of _wilson, whose visits get exp(1)/lambda holding times; _erase
-    of each walk gives its erased loops, and the surviving visit of each
-    tree vertex becomes its trivial occupation.  Each walk is read as it
-    ends, so no more than one is held.
+    recurrent chains need an explicit root vertex.  _wilson records each
+    position its branches walk and the positions of each loop they erase;
+    the holding times are one division of the buffers, exps / lambda[vertex],
+    the IEEE division of each position alone.  Each erased loop becomes a
+    PointedLoop, and the position that each tree vertex keeps gives its
+    trivial occupation.
     """
-    gen, end, lam = as_generator(rng), _root_index(e, root), e.lam.tolist()
-    erased, trivial = [], np.zeros(e.n)
-
-    def branch(path, exps):
-        kept, loops = _erase(path)
-        taus = [t / lam[v] for v, t in zip(path, exps.tolist())]
-        for loop in loops:
-            erased.append(PointedLoop(tuple([path[t] for t in loop]), tuple([taus[t] for t in loop])))
-        for t in kept:
-            trivial[path[t]] = taus[t]
-
-    parent, _ = _wilson(gen, _step_table(e), end, branch)
-    return SpanningTree(e.vertices, np.array(parent), root), LoopEnsemble(e.vertices, 1.0, erased, trivial)
+    gen, end, walks = as_generator(rng), _root_index(e, root), tuple(map(array, "qdqqq"))
+    parent, _ = _wilson(gen, _step_table(e), end, walks)
+    vertex, tau, kept, looped = map(np.array, walks[:4])
+    tau /= e.lam[vertex]
+    trivial = np.bincount(vertex[kept], tau[kept], minlength=e.n)  # each vertex is kept once
+    loop_vertex, loop_tau, ends = vertex[looped].tolist(), tau[looped].tolist(), walks[4].tolist()
+    loops = [PointedLoop(tuple(loop_vertex[a:b]), tuple(loop_tau[a:b])) for a, b in zip([0, *ends], ends)]
+    return SpanningTree(e.vertices, np.array(parent), root), LoopEnsemble(e.vertices, 1.0, loops, trivial)

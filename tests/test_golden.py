@@ -219,3 +219,33 @@ GREEN_MULTI_BLOCK = {
 def test_golden_green(kind, L, seed):
     b = ls.green({"killed_box": killed_box, "shuffled_box": shuffled_box}[kind](L, seed))
     assert (hashlib.sha256(b.G.tobytes()).hexdigest(), b.logdet_G.hex()) == GREEN_MULTI_BLOCK[kind, L, seed]
+
+
+# wilson_sample on killed boxes, three trees per stream: each tree's parent
+# array, the vertices and holding times (float.hex) of its erased loops and
+# the bytes of its trivial field, plus one further draw.  The fixture
+# digests above erase a few loops per tree; a box's branches erase hundreds.
+WILSON_BOX = {
+    (16, 1, 0): "535a79c8bf202e8057be7a35e4f471652cd9801613553c065c3004b2a6a2232a",
+    (16, 1, 1): "404f360024f88946c3dd0a40e72ade6d1b0d97c321a1383a33caa9fc92305bf6",
+    (32, 2, 0): "ba4c47fb991476ba7e1eb32fb100c7f0e6d4019713c4487f689d7be4b99a81ce",
+    (32, 2, 1): "dbbf6544b80b9a59367c215afb47be7708857dea40db22fd46ed5d1c9bb37d36",
+}
+
+
+def _wilson_box(L, box_seed):
+    def run(rng):
+        e = killed_box(L, box_seed)
+        out = []
+        for _ in range(3):
+            tree, ens = ls.wilson_sample(e, rng)
+            loops = [[list(loop.vertices), [t.hex() for t in loop.taus]] for loop in ens.loops]
+            out.append([tree.parent_index.tolist(), loops, ens.trivial.tobytes().hex()])
+        return out
+
+    return run
+
+
+@pytest.mark.parametrize("L, box_seed, seed", sorted(WILSON_BOX))
+def test_golden_wilson_box(L, box_seed, seed):
+    assert _digest(ls.RngStream(seed), _wilson_box(L, box_seed)) == WILSON_BOX[L, box_seed, seed]

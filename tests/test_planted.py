@@ -5,7 +5,7 @@ seed, so the failure is the defect's, not a known false failure."""
 
 import numpy as np
 import pytest
-from test_samplers import reference_branches
+from test_samplers import _erase, reference_branches
 
 import loopsoup as ls
 from loopsoup import samplers
@@ -45,18 +45,14 @@ def _plant_kept_erased_loop(monkeypatch):
     is replaced by the walk-then-erase reference with that erasure."""
 
     def erase(path):
-        kept, loops = samplers._erase(path)
+        kept, loops = _erase(path)
         if loops:
             kept, loops = sorted(kept + loops[0]), loops[1:]
         return kept, loops
 
-    def planted(gen, table, end, branch=None):
+    def planted(gen, table, end):  # as _trees calls _wilson: no walks kept
         parent = [len(table[0])] * len(table[0])
-        erased = 0
-        for path, exps, _, loops in reference_branches(gen, table, end, parent, erase):
-            erased += len(loops)
-            if branch is not None:
-                branch(path, exps)
+        erased = sum(len(loops) for *_, loops in reference_branches(gen, table, end, parent, erase))
         return parent, erased
 
     monkeypatch.setattr(samplers, "_wilson", planted)

@@ -23,7 +23,6 @@ from loopsoup.graph import GraphError, _root_index
 from loopsoup.loops import PointedLoop
 from loopsoup.samplers import (
     _bridges,
-    _erase,
     _positions,
     _row,
     _soup_occupations,
@@ -472,6 +471,23 @@ def test_loop_erase():
     assert ls.loop_erase(["a", "b", "a", "c"]) == ["a", "c"]
     assert ls.loop_erase(["a", "b", "c", "b", "d"]) == ["a", "b", "d"]
     assert ls.loop_erase(["a"]) == ["a"]
+
+
+def _erase(path):
+    """Progressive loop erasure of a whole walk, by position: the positions
+    the self-avoiding path keeps (a revisit keeps the later visit), and the
+    positions of each erased loop, in the order the loops close.  The
+    walk-then-erase reference for samplers._wilson, which erases as it
+    walks."""
+    kept, at, loops = [], {}, []
+    for t, v in enumerate(path):
+        i = at.get(v, len(kept))
+        if i < len(kept) and path[kept[i]] == v:  # else v is new, or erased since
+            loops.append(kept[i:])
+            del kept[i:]
+        at[v] = len(kept)
+        kept.append(t)
+    return kept, loops
 
 
 def _stack_erase(path):

@@ -7,8 +7,11 @@ each it prints n, the half-bandwidth b, the size of the factor's
 works in, the time of exact._factor (once, on a fresh form), the best of
 three calls of green(), max |L G - I| with L the energy matrix, the best
 of three calls of twisted_green() with a one-form uniform on [-pi, pi] on
-each edge (drawn from default_rng([2, L])), and the best of three calls of
-wilson_sample() at one seed (the first also builds the form's step table).
+each edge (drawn from default_rng([2, L])), the best of three calls of
+wilson_sample() at one seed (tree_s; the first also builds the form's step
+table), and the best of three trees of the bare walk, samplers._trees(e,
+gen, None, 1), at the same seed (core_s): tree_s - core_s is what building
+the tree's ensemble of erased loops adds to the walk.
 
     python3 tools/green_scale.py [L ...]
 
@@ -33,6 +36,7 @@ import numpy as np  # noqa: E402
 import inputs  # noqa: E402
 import loopsoup as ls  # noqa: E402
 from loopsoup.exact import _bandwidth, _block_rows, _factor  # noqa: E402
+from loopsoup.samplers import _trees  # noqa: E402
 
 
 def residual(e, G, cols=512):
@@ -49,7 +53,7 @@ def residual(e, G, cols=512):
 def main(argv):
     sizes = [int(arg) for arg in argv[1:]] or [16, 32, 48, 64]
     print(f"{'L':>3} {'n':>5} {'b':>3} {'band_mb':>7} {'blocks':>6} {'factor_s':>9} {'green_s':>8} {'|LG-I|':>8} "
-          f"{'twisted_s':>9} {'tree_s':>7}")
+          f"{'twisted_s':>9} {'tree_s':>7} {'core_s':>7}")
     for L in sizes:
         e = ls.load_energy_form(inputs.killed_box(L, np.random.default_rng([1, L])))
         t0 = time.perf_counter()
@@ -73,8 +77,13 @@ def main(argv):
             t0 = time.perf_counter()
             ls.wilson_sample(e, ls.RngStream(0))
             tree_s.append(time.perf_counter() - t0)
+        core_s = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            _trees(e, ls.RngStream(0).generator, None, 1)
+            core_s.append(time.perf_counter() - t0)
         print(f"{L:3} {e.n:5} {_bandwidth(e):3} {band_mb:7.2f} {blocks:6} {factor_s:9.4f} {min(green_s):8.4f} "
-              f"{residual(e, G):8.1e} {min(twisted_s):9.4f} {min(tree_s):7.4f}")
+              f"{residual(e, G):8.1e} {min(twisted_s):9.4f} {min(tree_s):7.4f} {min(core_s):7.4f}")
 
 
 if __name__ == "__main__":
