@@ -81,9 +81,7 @@ def cmd_mu(args):
         payload["no_such_loop_probability"] = prob
     if args.k_cap is not None:
         loops, tail = enumerate_loops(e, args.k_cap)
-        payload["enumerated_loops"] = len(loops)
-        payload["enumerated_mass"] = sum(m for _, m in loops)
-        payload["tail_bound"] = tail
+        payload.update(enumerated_loops=len(loops), enumerated_mass=sum(m for _, m in loops), tail_bound=tail)
     _emit(args, payload, json.dumps(payload, indent=2))
     return 0
 
@@ -186,11 +184,14 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="loopsoup")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=True):
+    def common(p, graph=True, samples=None):
         if graph:
             p.add_argument("graph", help="graph JSON document path")
         p.add_argument("--json", action="store_true", help="machine readable output")
         p.add_argument("-o", "--output", default=None)
+        if samples is not None:  # a sampling command: -n with this default, and the stream's --seed
+            p.add_argument("-n", "--samples", type=nonnegative_int, default=samples)
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("green")
     common(p)
@@ -206,23 +207,17 @@ def build_parser():
     p.set_defaults(func=cmd_mu)
 
     p = sub.add_parser("sample")
-    common(p)
+    common(p, samples=1)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("-n", "--samples", type=nonnegative_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("wilson")
-    common(p)
-    p.add_argument("-n", "--samples", type=nonnegative_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    common(p, samples=1)
     p.add_argument("--root", default=None)
     p.set_defaults(func=cmd_wilson)
 
     p = sub.add_parser("gff")
-    common(p)
-    p.add_argument("-n", "--samples", type=nonnegative_int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    common(p, samples=1)
     p.add_argument("--complex", action="store_true")
     p.set_defaults(func=cmd_gff)
 
@@ -236,10 +231,7 @@ def build_parser():
     for name, (run, sampled) in SUITES.items():
         p = suites.add_parser(name)
         p.add_argument("--graph", required=True)
-        common(p, graph=False)
-        if sampled:
-            p.add_argument("-n", "--samples", type=nonnegative_int, default=0)
-            p.add_argument("--seed", type=int, default=0)
+        common(p, graph=False, samples=0 if sampled else None)
         p.set_defaults(func=cmd_verify, run=run)
     suites.choices["energy_variation"].add_argument("--alpha", type=float, default=1.0)
     suites.choices["zeta"].add_argument("--m-max", type=int, default=8)

@@ -17,6 +17,7 @@ graph.per_form), not a fresh green() each.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,8 +148,13 @@ def _check_alpha(alpha):
 
 
 def enumeration_tail_bound(e, k_max):
-    if k_max < 0:
-        raise GraphError(f"enumeration length {k_max} is negative")
+    """Bound on the mu mass of the loops longer than k_max.  GraphError for
+    a negative or non-integer k_max, or a recurrent chain."""
+    try:
+        if operator.index(k_max) < 0:
+            raise GraphError(f"enumeration length {k_max} is negative")
+    except TypeError:
+        raise GraphError(f"enumeration length {k_max!r} is not an integer") from None
     rho = spectral_radius(e)
     if rho >= 1:
         raise GraphError("tail bound needs a transient chain")
@@ -168,24 +174,30 @@ def enumerate_loops(e, k_max):
     its period becomes t + 1.  A word with p dividing t is a necklace and
     is a loop when P[a_t, a_1] > 0.  Each node carries the product of P
     along its prefix, so a loop's mass is that product times P[a_t, a_1],
-    divided by its multiplicity t / p.
+    divided by its multiplicity t / p.  One loop walks the tree in preorder
+    on an explicit stack of (word, period, product) nodes and appends each
+    loop to one list: no chain of generators passes a loop back up, and no
+    self-referencing closure keeps the list alive after the call.
     """
-    if e.n > ENUM_VERTEX_GUARD or k_max > ENUM_K_GUARD:
-        raise GraphError("enumeration guard exceeded")
-    tail = enumeration_tail_bound(e, k_max)
+    n = e.n
+    if n > ENUM_VERTEX_GUARD:
+        raise GraphError(f"{n} vertices exceed enumeration guard {ENUM_VERTEX_GUARD}")
+    tail = enumeration_tail_bound(e, k_max)  # GraphError unless k_max is an integer >= 0
+    if k_max > ENUM_K_GUARD:
+        raise GraphError(f"enumeration length {k_max} exceeds guard {ENUM_K_GUARD}")
     P = e.P.tolist()  # Python floats: the same products, without numpy's per-scalar cost
-
-    def necklaces(word, period, mass):
+    loops = []
+    stack = [((base,), 1, 1.0) for base in reversed(range(n))]  # (word, period, prefix product)
+    while stack:
+        word, period, mass = stack.pop()
         t, row = len(word), P[word[-1]]
         if t >= 2 and t % period == 0 and row[word[0]] > 0:
-            yield DiscreteLoop(word), mass * row[word[0]] / (t // period)
+            loops.append((DiscreteLoop(word), mass * row[word[0]] / (t // period)))
         if t < k_max:
-            for nxt in range(word[t - period], e.n):
+            least = word[t - period]
+            for nxt in reversed(range(least, n)):  # pushed in descending order, so popped in preorder
                 if row[nxt] > 0:
-                    grown = period if nxt == word[t - period] else t + 1
-                    yield from necklaces(word + (nxt,), grown, mass * row[nxt])
-
-    loops = [item for base in range(e.n) for item in necklaces((base,), 1, 1.0)]
+                    stack.append((word + (nxt,), period if nxt == least else t + 1, mass * row[nxt]))
     return loops, tail
 
 
@@ -398,7 +410,8 @@ def wreath_identity_sum(e, n_per_vertex, k_max):
     ns = _register_sizes(e, n_per_vertex)
     loops, tail = enumerate_loops(e, k_max)
     prefactor = float(math.prod(ns))
+    inv = [1.0 / n_x for n_x in ns]
     total = 0.0
     for loop, mass in loops:
-        total += mass * float(np.prod([1.0 / ns[v] for v in set(loop.vertices)]))
+        total += mass * math.prod(inv[v] for v in set(loop.vertices))
     return prefactor * total, prefactor * tail

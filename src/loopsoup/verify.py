@@ -649,10 +649,8 @@ def verify_energy_variation(e, e2=None, omega=None, alpha=1.0, n_samples=0, rng=
     )
     if e.n <= 4:
         loops, tail = enumerate_loops(e, 12)
-        enum = sum(
-            mass * loop.vertices.count(x_idx) / e.lam[x_idx]
-            for loop, mass in loops
-        )
+        lam_x = float(e.lam[x_idx])  # a Python float: the same quotient without numpy's per-scalar cost
+        enum = sum(mass * loop.vertices.count(x_idx) / lam_x for loop, mass in loops)
         rho_b = spectral_radius(e)
         bound = e.n * rho_b**13 / (1 - rho_b) / e.lam.min() + 1e-9
         report.add_bool(

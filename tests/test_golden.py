@@ -12,6 +12,7 @@ the thread count.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import loopsoup as ls
@@ -200,6 +201,57 @@ def test_golden_cli_wilson(tmp_path, capsys):
     argv = ["wilson", str(tmp_path / "k4_rooted.json"), "--root", "a", "-n", "5", "--seed", "3", "--json"]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLI_WILSON_K4_ROOTED
+
+
+# stdout of `loopsoup mu <fixture> --k-cap k --json`: the enumerated class
+# count, their summed mass and the tail bound
+CLI_MU = {
+    ("k3_wreath", 14): "c13ed30834b085432768b28a2f87d2a0626da276cdb5328bf58e9b71d3deedf0",
+    ("k4c1", 10): "e1fd0933e0f4894ca5dedd53140ed26568e766f09692d8878a3dfab48e3d1a5c",
+    ("k4c1", 12): "a3ddb34c39876ae3504db8f435477262c1933f37449a989b970a1c1d8f2460e6",
+    ("p2", 14): "280ee41520242c31c6775de0b6e393d5ce9b6e3b50cfbbb5af262ae03552f9a6",
+}
+
+
+@pytest.mark.parametrize("name, k_cap", sorted(CLI_MU))
+def test_golden_cli_mu(tmp_path, capsys, name, k_cap):
+    ls.write_fixtures(str(tmp_path))
+    assert main(["mu", str(tmp_path / f"{name}.json"), "--k-cap", str(k_cap), "--json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CLI_MU[name, k_cap]
+
+
+def _killed_cube():
+    """The 3-cube with unit killing: 8 vertices, so a loop meets up to 8
+    registers, and 8 * 3 * 5 * 7 * 3 = 2520 wreath states fit the guard."""
+    cube = _form("cube")
+    return ls.EnergyForm(cube.vertices, cube.C, np.ones(8))
+
+
+WREATH_REGISTERS = {
+    ("k3_wreath", "2"): 2,
+    ("k3_wreath", "a2b2c3"): {"a": 2, "b": 2, "c": 3},
+    ("killed_cube", "2"): 2,
+    ("killed_cube", "35731111"): dict(zip(_killed_cube().vertices, [3, 5, 7, 3, 1, 1, 1, 1])),
+}
+
+# wreath_identity_sum(e, registers, k) as (value, tail) in float.hex
+WREATH_SUM = {
+    ("k3_wreath", "2", 8): ("0x1.bd0b5ab7c6e0ap-1", "0x1.aa2f78f1b4cd0p-3"),
+    ("k3_wreath", "2", 14): ("0x1.c09ba1b95b354p-1", "0x1.67303a1b24b49p-7"),
+    ("k3_wreath", "a2b2c3", 8): ("0x1.f958ec4bb21e7p-1", "0x1.3fa39ab54799cp-2"),
+    ("k3_wreath", "a2b2c3", 14): ("0x1.fce9b07a02b13p-1", "0x1.0d642b945b877p-6"),
+    ("killed_cube", "2", 8): ("0x1.b3fe600000002p+5", "0x1.1160000000022p+6"),
+    ("killed_cube", "2", 10): ("0x1.b49440cccccccp+5", "0x1.f7422e8ba2ed6p+4"),
+    ("killed_cube", "35731111", 8): ("0x1.e44985ffffff9p+6", "0x1.506120000002ap+6"),
+    ("killed_cube", "35731111", 10): ("0x1.e510547ffff9bp+6", "0x1.359f37a2e8bd1p+5"),
+}
+
+
+@pytest.mark.parametrize("name, registers, k", sorted(WREATH_SUM))
+def test_golden_wreath_identity_sum(name, registers, k):
+    e = _killed_cube() if name == "killed_cube" else _form(name)
+    value, tail = ls.wreath_identity_sum(e, WREATH_REGISTERS[name, registers], k)
+    assert (value.hex(), tail.hex()) == WREATH_SUM[name, registers, k]
 
 
 # green(e) on killed boxes of 2 to 33 blocks of rows, and on a shuffled box

@@ -103,6 +103,27 @@ def test_enumeration_rejects_negative_length(p2, k3):
             ls.wreath_identity_sum(k3, 2, k_max)
 
 
+def test_enumeration_rejects_non_integer_length(k4c1, k3):
+    # unchecked, a NaN length would give a NaN tail bound, and 1.5 the
+    # length-2 loops with a tail taken at k = 1.5
+    for k_max in (float("nan"), 1.5, "3"):
+        with pytest.raises(GraphError, match="not an integer"):
+            ls.enumeration_tail_bound(k4c1, k_max)
+        with pytest.raises(GraphError, match="not an integer"):
+            ls.enumerate_loops(k4c1, k_max)
+        with pytest.raises(GraphError, match="not an integer"):
+            ls.wreath_identity_sum(k3, 2, k_max)
+    assert ls.enumerate_loops(k4c1, np.int64(3)) == ls.enumerate_loops(k4c1, 3)
+
+
+def test_enumeration_guards(k4c1):
+    with pytest.raises(GraphError, match="enumeration length 15 exceeds guard 14"):
+        ls.enumerate_loops(k4c1, 15)
+    e = ls.load_energy_form(ls.fixture("counterexample"))
+    with pytest.raises(GraphError, match=f"{e.n} vertices exceed enumeration guard 8"):
+        ls.enumerate_loops(e, 2)
+
+
 def test_enumeration_masses_are_mu(k4c1):
     loops, _ = ls.enumerate_loops(k4c1, 6)
     for loop, mass in loops:

@@ -57,3 +57,25 @@ def test_tracer_counts_the_zeta_layer():
     _, L = ls.non_backtracking_counts(e, 8)
     assert counts["zeta.walks"] == sum(L) > 0
     assert tracer_mod.segment_metrics(tracer.names, spans, counts)["zeta.enum_s"] > 0
+
+
+def test_tracer_counts_the_enumeration_layer(tmp_path):
+    # the tracer wraps loops.enumerate_loops by name: the CLI's mu and
+    # wreath_identity_sum must reach it through that name for
+    # loops.enumerate_s and loops.classes to read nonzero
+    ls.write_fixtures(str(tmp_path))
+    k3 = ls.load_energy_form(ls.fixture("k3_wreath"))
+    tracer = tracer_mod.Tracer(ls)
+    tracer.install()
+    try:
+        tracer.begin("batch")
+        assert ls.cli.main(["mu", str(tmp_path / "k4c1.json"), "--k-cap", "10", "--json"]) == 0
+        mu_classes = tracer.counts["loops.classes"]
+        ls.wreath_identity_sum(k3, 2, 14)
+        spans, counts = tracer.spans, tracer.counts
+        tracer.end()
+    finally:
+        tracer.uninstall()
+    assert mu_classes == 9488
+    assert counts["loops.classes"] == 9488 + 2601
+    assert tracer_mod.segment_metrics(tracer.names, spans, counts)["loops.enumerate_s"] > 0
